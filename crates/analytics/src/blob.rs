@@ -14,10 +14,13 @@
 //! 4. keep groups seen in at least `minRepeatability` thresholds; report
 //!    each as one blob at the averaged center with the averaged radius.
 //!
-//! We detect *bright* blobs (high electric potential).
+//! We detect *bright* blobs (high electric potential). Step 2 runs in
+//! parallel across thresholds; step 3 then walks the thresholds in order,
+//! so the blob list does not depend on the worker count.
 
 use crate::components::label_components;
 use crate::raster::GrayImage;
+use rayon::prelude::*;
 
 /// Detector parameters. Defaults mirror OpenCV's SimpleBlobDetector
 /// (thresholdStep 10, minDistBetweenBlobs 10, minRepeatability 2).
@@ -120,39 +123,55 @@ impl BlobDetector {
             "threshold range inverted"
         );
 
-        // Groups of observations across thresholds.
-        let mut groups: Vec<Vec<Observation>> = Vec::new();
+        // Threshold levels are independent: label them in parallel. The
+        // even levels go first, then the odd ones, so both contiguous
+        // worker halves get a share of the foreground-heavy low levels.
+        let levels: Vec<u8> = (p.min_threshold as u32..=p.max_threshold as u32)
+            .step_by(p.threshold_step as usize)
+            .map(|t| t as u8)
+            .collect();
+        let order: Vec<u8> = levels
+            .iter()
+            .step_by(2)
+            .chain(levels.iter().skip(1).step_by(2))
+            .copied()
+            .collect();
+        let mut labelled: Vec<(u8, Vec<Observation>)> = order
+            .into_par_iter()
+            .map(|t| {
+                let mask = image.threshold(t);
+                let obs = label_components(&mask, image.width, image.height)
+                    .into_iter()
+                    .filter(|c| c.area >= p.min_area && c.area <= p.max_area)
+                    .map(|c| Observation {
+                        center: c.centroid,
+                        radius: c.radius(),
+                        area: c.area as f64,
+                    })
+                    .collect();
+                (t, obs)
+            })
+            .collect();
+        labelled.sort_unstable_by_key(|&(t, _)| t);
 
-        let mut t = p.min_threshold as u32;
-        while t <= p.max_threshold as u32 {
-            let mask = image.threshold(t as u8);
-            let comps = label_components(&mask, image.width, image.height);
-            for c in comps {
-                if c.area < p.min_area || c.area > p.max_area {
-                    continue;
-                }
-                let obs = Observation {
-                    center: c.centroid,
-                    radius: c.radius(),
-                    area: c.area as f64,
-                };
-                // Find the nearest existing group (by its latest center).
-                let mut best: Option<(usize, f64)> = None;
-                for (gi, group) in groups.iter().enumerate() {
-                    let last = group.last().expect("groups are non-empty");
-                    let dx = last.center.0 - obs.center.0;
-                    let dy = last.center.1 - obs.center.1;
-                    let d = (dx * dx + dy * dy).sqrt();
-                    if d < p.min_dist_between_blobs && best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((gi, d));
-                    }
-                }
-                match best {
-                    Some((gi, _)) => groups[gi].push(obs),
-                    None => groups.push(vec![obs]),
+        // Group observations across thresholds, in threshold order.
+        let mut groups: Vec<Vec<Observation>> = Vec::new();
+        for obs in labelled.into_iter().flat_map(|(_, obs)| obs) {
+            // Find the nearest existing group (by its latest center).
+            let mut best: Option<(usize, f64)> = None;
+            for (gi, group) in groups.iter().enumerate() {
+                let last = group.last().expect("groups are non-empty");
+                let dx = last.center.0 - obs.center.0;
+                let dy = last.center.1 - obs.center.1;
+                let d = (dx * dx + dy * dy).sqrt();
+                if d < p.min_dist_between_blobs && best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((gi, d));
                 }
             }
-            t += p.threshold_step as u32;
+            match best {
+                Some((gi, _)) => groups[gi].push(obs),
+                None => groups.push(vec![obs]),
+            }
         }
 
         // Merge each group into one blob.

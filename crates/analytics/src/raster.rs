@@ -6,9 +6,18 @@
 //! (and render as background). All accuracy levels of one dataset are
 //! rasterized over the *same* bounds and normalization range so the
 //! paper's pixel-unit metrics compare level to level.
+//!
+//! Pixels within a small slack of the hull still sample their nearest
+//! triangle. The locator search is bounded by that slack
+//! ([`GridLocator::locate_within`]), so a pixel in a hole (the XGC1
+//! annulus) or outside the hull costs a couple of cell rings instead of a
+//! nearest-triangle search that would be thrown away. The bound changes
+//! no pixel: the bounded search returns the same triangle as the
+//! unbounded one whenever that triangle is inside or within the slack, so
+//! rasters are bit-identical to locating every pixel without a bound.
 
 use canopus_mesh::geometry::{Aabb, Point2};
-use canopus_mesh::locate::{GridLocator, Location};
+use canopus_mesh::locate::GridLocator;
 use canopus_mesh::TriMesh;
 use rayon::prelude::*;
 
@@ -56,12 +65,9 @@ impl Raster {
                         bounds.min.x + bounds.width() * (col as f64 + 0.5) / width as f64,
                         bounds.min.y + bounds.height() * (row as f64 + 0.5) / height as f64,
                     );
-                    match locator.locate(mesh, p) {
-                        Some(Location::Inside(t)) => interpolate(mesh, data, t, p),
-                        Some(Location::Clamped(t, d)) if d <= slack => {
-                            interpolate(mesh, data, t, p)
-                        }
-                        _ => f64::NAN,
+                    match locator.locate_within(mesh, p, slack) {
+                        Some(loc) => interpolate(mesh, data, loc.triangle(), p),
+                        None => f64::NAN,
                     }
                 })
             })

@@ -226,6 +226,7 @@ fn metrics_json(figure: &str, rows: &[endtoend::EndToEndRow]) -> String {
                 Value::Float(r.decompress_secs),
             );
             o.insert("restore_secs".to_string(), Value::Float(r.restore_secs));
+            o.insert("rasterize_secs".to_string(), Value::Float(r.rasterize_secs));
             o.insert("detect_secs".to_string(), Value::Float(r.detect_secs));
             o.insert("elapsed_secs".to_string(), Value::Float(r.elapsed_secs));
             o.insert(
@@ -371,6 +372,7 @@ fn endtoend_table(name: &str, rows: &[endtoend::EndToEndRow], with_detect: bool)
     // sum when the pipelined engine overlaps stages.
     let mut headers = vec!["ratio", "I/O", "decompress", "restore"];
     if with_detect {
+        headers.push("rasterize");
         headers.push("blob detect");
     }
     headers.push("analysis total");
@@ -387,6 +389,7 @@ fn endtoend_table(name: &str, rows: &[endtoend::EndToEndRow], with_detect: bool)
                 table::secs(r.restore_secs),
             ];
             if with_detect {
+                row.push(table::secs(r.rasterize_secs));
                 row.push(table::secs(r.detect_secs));
             }
             row.push(table::secs(r.analysis_total()));

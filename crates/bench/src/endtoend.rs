@@ -26,10 +26,11 @@ use canopus_data::Dataset;
 use canopus_mesh::TriMesh;
 use canopus_refactor::levels::RefactorConfig;
 
-/// Registry timer name for the blob-detection analytics stage. Bench-local:
+/// Registry timer names for the two Fig. 9 analytics stages. Bench-local:
 /// the canonical `canopus_obs::names` cover the pipeline itself; analytics
 /// stages layered on top register under their own prefix.
-pub const DETECT_TIMER: &str = "analytics.blob_detect";
+pub const RASTERIZE_TIMER: &str = "analytics.rasterize";
+pub const DETECT_TIMER: &str = "analytics.detect";
 
 /// Restore-engine knobs for an end-to-end run, overriding the
 /// [`CanopusConfig`] defaults (the `repro` CLI exposes them as
@@ -92,8 +93,9 @@ pub struct EndToEndRow {
     pub io_secs: f64,
     pub decompress_secs: f64,
     pub restore_secs: f64,
-    /// Blob-detection time (0 when `detect` is off — Figs. 10/11 plot
-    /// only the Canopus phases).
+    /// Rasterization and blob-detection times of the analytics stage (0
+    /// when `detect` is off — Figs. 10/11 plot only the Canopus phases).
+    pub rasterize_secs: f64,
     pub detect_secs: f64,
     /// Panel (a) measured wall clock. The phase fields above are sums
     /// (I/O simulated); when the pipelined engine overlaps stages this
@@ -111,26 +113,37 @@ pub struct EndToEndRow {
 
 impl EndToEndRow {
     pub fn analysis_total(&self) -> f64 {
-        self.io_secs + self.decompress_secs + self.restore_secs + self.detect_secs
+        self.io_secs
+            + self.decompress_secs
+            + self.restore_secs
+            + self.rasterize_secs
+            + self.detect_secs
     }
 }
 
-/// Blob detection cost on a restored level (rasterize + detect), used as
-/// the paper's XGC1 analytics stage. Timed through the shared registry
-/// ([`DETECT_TIMER`]) rather than ad-hoc stopwatches; the caller reads the
-/// accumulated wall seconds back out of the same timer.
-fn detect_time(obs: &Registry, mesh: &TriMesh, data: &[f64], bounds: canopus_mesh::Aabb) -> f64 {
-    let timer = obs.timer(DETECT_TIMER);
-    timer.time(|| {
-        let raster = Raster::from_mesh(mesh, data, RASTER_SIZE, RASTER_SIZE, bounds);
-        if let Some((lo, hi)) = raster.value_range() {
+/// The paper's XGC1 analytics stage on a restored level: rasterize, then
+/// detect blobs. Each step is timed through the shared registry
+/// ([`RASTERIZE_TIMER`], [`DETECT_TIMER`]) rather than ad-hoc stopwatches;
+/// returns the accumulated wall seconds of both. A raster with no value
+/// spread (empty or constant) has nothing to normalize, so detection is
+/// skipped.
+fn analytics_time(
+    obs: &Registry,
+    mesh: &TriMesh,
+    data: &[f64],
+    bounds: canopus_mesh::Aabb,
+) -> (f64, f64) {
+    let rasterize = obs.timer(RASTERIZE_TIMER);
+    let detect = obs.timer(DETECT_TIMER);
+    let raster = rasterize.time(|| Raster::from_mesh(mesh, data, RASTER_SIZE, RASTER_SIZE, bounds));
+    if let Some((lo, hi)) = raster.value_range().filter(|(lo, hi)| lo < hi) {
+        detect.time(|| {
             let (_, min_t, max_t, min_area) = PAPER_CONFIGS[0];
             let gray = raster.to_gray(lo, hi);
-            let _ =
-                BlobDetector::new(BlobParams::paper_config(min_t, max_t, min_area)).detect(&gray);
-        }
-    });
-    timer.stat().wall_secs
+            BlobDetector::new(BlobParams::paper_config(min_t, max_t, min_area)).detect(&gray)
+        });
+    }
+    (rasterize.stat().wall_secs, detect.stat().wall_secs)
 }
 
 /// Pre-load level geometry so the measured rows pay only the variable's
@@ -182,16 +195,17 @@ pub fn end_to_end_with(
         let reader = canopus.open("none.bp").expect("open baseline");
         warm_best_effort(&reader, ds.var);
         let out = reader.read_level(ds.var, 0).expect("read baseline");
-        let detect_secs = if detect {
-            detect_time(canopus.metrics(), &out.mesh, &out.data, bounds)
+        let (rasterize_secs, detect_secs) = if detect {
+            analytics_time(canopus.metrics(), &out.mesh, &out.data, bounds)
         } else {
-            0.0
+            (0.0, 0.0)
         };
         rows.push(EndToEndRow {
             ratio_label: "None".into(),
             io_secs: out.timing.io_secs,
             decompress_secs: 0.0,
             restore_secs: 0.0,
+            rasterize_secs,
             detect_secs,
             elapsed_secs: out.timing.elapsed_secs,
             full_restore_secs: out.timing.io_secs,
@@ -236,15 +250,15 @@ pub fn end_to_end_with(
             let t = base.timing;
             (base, t)
         };
-        let detect_secs = if detect {
-            detect_time(
+        let (rasterize_secs, detect_secs) = if detect {
+            analytics_time(
                 canopus.metrics(),
                 &analysis_outcome.mesh,
                 &analysis_outcome.data,
                 bounds,
             )
         } else {
-            0.0
+            (0.0, 0.0)
         };
 
         // Panel (b): full-accuracy restoration from this base, on a fresh
@@ -258,6 +272,7 @@ pub fn end_to_end_with(
             io_secs: timing.io_secs,
             decompress_secs: timing.decompress_secs,
             restore_secs: timing.restore_secs,
+            rasterize_secs,
             detect_secs,
             elapsed_secs: timing.elapsed_secs,
             full_restore_secs: full.timing.total(),
@@ -298,7 +313,26 @@ mod tests {
             none.io_secs,
             raw_secs
         );
+        assert!(none.rasterize_secs > 0.0, "detection was requested");
         assert!(none.detect_secs > 0.0, "detection was requested");
+        let snap = &none.metrics;
+        assert_eq!(snap.timer(RASTERIZE_TIMER).wall_secs, none.rasterize_secs);
+        assert_eq!(snap.timer(DETECT_TIMER).wall_secs, none.detect_secs);
+    }
+
+    #[test]
+    fn analytics_skip_detection_on_a_constant_field() {
+        let ds = xgc1_dataset_sized(8, 40, 1);
+        let bounds = ds.mesh.aabb();
+        let obs = Registry::new();
+        // Zero interpolates exactly, so the raster range is (0, 0).
+        let flat = vec![0.0; ds.len()];
+        let (rasterize, detect) = analytics_time(&obs, &ds.mesh, &flat, bounds);
+        assert!(rasterize > 0.0);
+        assert_eq!(detect, 0.0, "nothing to detect on a constant raster");
+        assert_eq!(obs.timer(DETECT_TIMER).stat().count, 0);
+        let (_, detect) = analytics_time(&obs, &ds.mesh, &ds.data, bounds);
+        assert!(detect > 0.0);
     }
 
     #[test]

@@ -398,6 +398,11 @@ fn cmd_render(argv: &[String]) -> Result<(), String> {
     let (lo, hi) = raster
         .value_range()
         .ok_or_else(|| "raster is empty".to_string())?;
+    // Interpolating a constant field can leave a few ulps of spread, so
+    // test the data as well as the pixels.
+    if lo == hi || outcome.data.iter().all(|&v| v == outcome.data[0]) {
+        return Err(format!("field is constant ({lo}); nothing to render"));
+    }
     let img = canopus_analytics::render::render_field(&raster, lo, hi);
     let mut f = std::fs::File::create(out).map_err(|e| format!("creating {out}: {e}"))?;
     img.write_ppm(&mut f)
@@ -977,6 +982,57 @@ mod tests {
         assert!(max_err < 1e-12, "CLI roundtrip err {max_err}");
         assert!(std::fs::metadata(ppm).unwrap().len() > 1000);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn render_rejects_a_constant_field() {
+        let dir = tmpdir("constant");
+        let store = dir.join("store");
+        let mesh = dir.join("m.off");
+        let data = dir.join("d.f64");
+        let ppm = dir.join("img.ppm");
+        let (store, mesh, data, ppm) = (
+            store.to_str().unwrap(),
+            mesh.to_str().unwrap(),
+            data.to_str().unwrap(),
+            ppm.to_str().unwrap(),
+        );
+        run(&s(&["init", store])).unwrap();
+        run(&s(&[
+            "demo-data",
+            "cfd",
+            "--mesh",
+            mesh,
+            "--data",
+            data,
+            "--small",
+        ]))
+        .unwrap();
+        let n = load_f64(data).unwrap().len();
+        save_f64(data, &vec![3.5; n]).unwrap();
+        run(&s(&[
+            "write", store, "c.bp", "flat", "--mesh", mesh, "--data", data, "--levels", "2",
+            "--codec", "raw",
+        ]))
+        .unwrap();
+        let err = run(&s(&[
+            "render", store, "c.bp", "flat", "--out", ppm, "--size", "32",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("field is constant"), "{err}");
+        assert!(std::fs::metadata(ppm).is_err(), "no image is written");
+        // A one-pixel raster has lo == hi whatever the field.
+        save_f64(data, &(0..n).map(|i| i as f64).collect::<Vec<_>>()).unwrap();
+        run(&s(&[
+            "write", store, "r.bp", "ramp", "--mesh", mesh, "--data", data, "--codec", "raw",
+        ]))
+        .unwrap();
+        let err = run(&s(&[
+            "render", store, "r.bp", "ramp", "--out", ppm, "--size", "1",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("field is constant"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,6 +8,18 @@
 //! query point's cell. Vertices that fall outside the coarse hull (edge
 //! collapsing shrinks the boundary slightly) are clamped to the *nearest*
 //! triangle, searched in expanding cell rings.
+//!
+//! The ring search can be bounded by the distance the caller will accept
+//! ([`GridLocator::locate_within`]). A triangle first met in ring `r + 1`
+//! lies at least `r` cell sides from the query point, so once `r - 1`
+//! cell sides exceed the bound (one ring of margin against float fuzz in
+//! cell assignment) and no candidate within the bound has been seen, no
+//! acceptable triangle can still appear and the search stops. The bounded
+//! search walks the same cells in the same order as the unbounded one, so
+//! whenever [`GridLocator::locate`] answers `Inside`, or `Clamped` within
+//! the bound, `locate_within` returns that very triangle. A rasterizer
+//! that discards far-away clamps therefore gets bit-identical pixels for
+//! a fraction of the work on pixels in holes or outside the hull.
 
 use crate::geometry::{Aabb, Point2};
 use crate::mesh::{TriId, TriMesh};
@@ -137,6 +149,16 @@ impl GridLocator {
     /// [`Location::Inside`], exterior points are clamped to the nearest
     /// triangle found in expanding rings of grid cells.
     pub fn locate(&self, mesh: &TriMesh, p: Point2) -> Option<Location> {
+        self.locate_within(mesh, p, f64::INFINITY)
+    }
+
+    /// [`Self::locate`] restricted to answers within `max_dist` of `p`:
+    /// returns what `locate` would whenever that is `Inside` or
+    /// `Clamped(_, d)` with `d <= max_dist`, and `None` otherwise (or for
+    /// an empty mesh). The ring search stops as soon as no triangle within
+    /// `max_dist` can still appear. `max_dist` must be non-negative.
+    pub fn locate_within(&self, mesh: &TriMesh, p: Point2, max_dist: f64) -> Option<Location> {
+        debug_assert!(max_dist >= 0.0, "max_dist must be non-negative");
         if mesh.num_triangles() == 0 {
             return None;
         }
@@ -151,6 +173,9 @@ impl GridLocator {
 
         // Slow path: expanding rings. Track the nearest triangle seen so we
         // can clamp if nothing contains the point.
+        let clamp = |(t, d): (TriId, f64)| (d <= max_dist).then_some(Location::Clamped(t, d));
+        let cell_size = 1.0 / self.inv_cell_w.min(self.inv_cell_h);
+        let min_cell_side = 1.0 / self.inv_cell_w.max(self.inv_cell_h);
         let mut best: Option<(TriId, f64)> = None;
         let max_ring = self.nx.max(self.ny) as isize;
         for ring in 0..=max_ring {
@@ -159,7 +184,8 @@ impl GridLocator {
                 any_cell = true;
                 for &t in self.cell_items(ccx, ccy) {
                     let tri = mesh.triangle(t);
-                    if tri.contains(p) {
+                    // Ring 0 is the fast path's cell: nothing there contains p.
+                    if ring > 0 && tri.contains(p) {
                         return Some(Location::Inside(t));
                     }
                     let d = tri.distance_to(p);
@@ -172,16 +198,23 @@ impl GridLocator {
             // closer triangle straddling the ring boundary; after that the
             // candidate can only be beaten by triangles farther away.
             if let Some((t, d)) = best {
-                let cell_size = 1.0 / self.inv_cell_w.min(self.inv_cell_h);
                 if d < ring as f64 * cell_size {
-                    return Some(Location::Clamped(t, d));
+                    return clamp((t, d));
                 }
+            }
+            // A triangle first met in a later ring lies at least `ring`
+            // short cell sides away; with one ring of margin for float
+            // fuzz, no unseen triangle can come within `max_dist`.
+            if best.is_none_or(|(_, bd)| bd > max_dist)
+                && (ring - 1) as f64 * min_cell_side > max_dist
+            {
+                return None;
             }
             if !any_cell && ring > 0 {
                 break;
             }
         }
-        best.map(|(t, d)| Location::Clamped(t, d))
+        best.and_then(clamp)
     }
 
     /// Number of grid cells (for diagnostics/tests).
@@ -191,7 +224,9 @@ impl GridLocator {
 }
 
 /// Cells at Chebyshev distance exactly `ring` from `(cx, cy)`, clipped to
-/// the grid.
+/// the grid: the top and bottom rows column by column (alternating), then
+/// the left and right columns row by row. The order is fixed because ties
+/// on the nearest distance resolve to the first triangle met.
 fn ring_cells(
     cx: isize,
     cy: isize,
@@ -199,29 +234,20 @@ fn ring_cells(
     nx: isize,
     ny: isize,
 ) -> impl Iterator<Item = (usize, usize)> {
-    let cells: Vec<(usize, usize)> = if ring == 0 {
-        vec![(cx as usize, cy as usize)]
-    } else {
-        let mut v = Vec::with_capacity((ring as usize) * 8);
-        for dx in -ring..=ring {
-            for dy in [-ring, ring] {
-                let (x, y) = (cx + dx, cy + dy);
-                if x >= 0 && x < nx && y >= 0 && y < ny {
-                    v.push((x as usize, y as usize));
-                }
-            }
-        }
-        for dy in (-ring + 1)..ring {
-            for dx in [-ring, ring] {
-                let (x, y) = (cx + dx, cy + dy);
-                if x >= 0 && x < nx && y >= 0 && y < ny {
-                    v.push((x as usize, y as usize));
-                }
-            }
-        }
-        v
-    };
-    cells.into_iter()
+    let rows = 2 * (2 * ring + 1);
+    let count = if ring == 0 { 1 } else { 8 * ring };
+    (0..count).filter_map(move |k| {
+        let side = if k % 2 == 0 { -ring } else { ring };
+        let (dx, dy) = if ring == 0 {
+            (0, 0)
+        } else if k < rows {
+            (-ring + k / 2, side)
+        } else {
+            (side, -ring + 1 + (k - rows) / 2)
+        };
+        let (x, y) = (cx + dx, cy + dy);
+        (x >= 0 && x < nx && y >= 0 && y < ny).then_some((x as usize, y as usize))
+    })
 }
 
 /// Interpolate a vertex field at an arbitrary point: locate the
@@ -345,6 +371,49 @@ mod tests {
             Point2::new(0.0, 0.0)
         )
         .is_none());
+    }
+
+    #[test]
+    fn ring_cells_keep_row_then_column_order() {
+        // Reference order: top/bottom rows by column, then the side
+        // columns by row, each clipped to the grid.
+        fn reference(
+            cx: isize,
+            cy: isize,
+            ring: isize,
+            nx: isize,
+            ny: isize,
+        ) -> Vec<(usize, usize)> {
+            let inside = |x: isize, y: isize| x >= 0 && x < nx && y >= 0 && y < ny;
+            if ring == 0 {
+                return vec![(cx as usize, cy as usize)];
+            }
+            let mut v = Vec::new();
+            for dx in -ring..=ring {
+                for dy in [-ring, ring] {
+                    if inside(cx + dx, cy + dy) {
+                        v.push(((cx + dx) as usize, (cy + dy) as usize));
+                    }
+                }
+            }
+            for dy in (-ring + 1)..ring {
+                for dx in [-ring, ring] {
+                    if inside(cx + dx, cy + dy) {
+                        v.push(((cx + dx) as usize, (cy + dy) as usize));
+                    }
+                }
+            }
+            v
+        }
+        for &(cx, cy) in &[(0, 0), (3, 2), (6, 4), (1, 4)] {
+            for ring in 0..9 {
+                assert_eq!(
+                    ring_cells(cx, cy, ring, 7, 5).collect::<Vec<_>>(),
+                    reference(cx, cy, ring, 7, 5),
+                    "cell ({cx},{cy}) ring {ring}"
+                );
+            }
+        }
     }
 
     #[test]

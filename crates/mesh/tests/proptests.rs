@@ -4,11 +4,47 @@ use canopus_mesh::generators::{
     annulus_mesh, boundary_vertices, disk_mesh, jitter_interior, rectangle_mesh,
 };
 use canopus_mesh::geometry::{Aabb, Point2, Triangle};
-use canopus_mesh::{quality, GridLocator, ScalarField};
+use canopus_mesh::locate::Location;
+use canopus_mesh::{quality, GridLocator, ScalarField, TriMesh};
 use proptest::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point2> {
     (-100.0f64..100.0, -100.0f64..100.0).prop_map(|(x, y)| Point2::new(x, y))
+}
+
+/// A jittered annulus (inner radius 0.2..0.6, outer 1) or a jittered
+/// `[0, 2] x [0, 1]` rectangle, with query points reaching into the hole
+/// and beyond the hull.
+fn arb_locator_case() -> impl Strategy<Value = (TriMesh, Vec<Point2>)> {
+    (
+        any::<bool>(),
+        2usize..8,
+        6usize..24,
+        0.2f64..0.6,
+        0u64..1000,
+        proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 48..49),
+    )
+        .prop_map(|(annulus, n, m, r_inner, seed, unit)| {
+            if annulus {
+                let mesh = jitter_interior(&annulus_mesh(n, m, r_inner, 1.0), 0.25, seed);
+                let pts = unit
+                    .iter()
+                    .map(|&(u, v)| {
+                        let (r, theta) = (1.6 * u, std::f64::consts::TAU * v);
+                        Point2::new(r * theta.cos(), r * theta.sin())
+                    })
+                    .collect();
+                (mesh, pts)
+            } else {
+                let bb = Aabb::from_points([Point2::new(0.0, 0.0), Point2::new(2.0, 1.0)]);
+                let mesh = jitter_interior(&rectangle_mesh(m, n, bb), 0.2, seed);
+                let pts = unit
+                    .iter()
+                    .map(|&(u, v)| Point2::new(-0.6 + 3.2 * u, -0.6 + 2.2 * v))
+                    .collect();
+                (mesh, pts)
+            }
+        })
 }
 
 proptest! {
@@ -50,6 +86,28 @@ proptest! {
         for &p in m.points() {
             let r = loc.locate(&m, p).unwrap();
             prop_assert!(r.is_inside());
+        }
+    }
+
+    /// The bounded search agrees with the unbounded one wherever the
+    /// unbounded answer is inside or clamped within the bound, and gives
+    /// up everywhere else.
+    #[test]
+    fn locate_within_agrees_with_locate(
+        (mesh, points) in arb_locator_case(),
+        max_dists in proptest::collection::vec(0.0f64..0.5, 4..5),
+    ) {
+        let loc = GridLocator::build(&mesh);
+        for &p in &points {
+            let full = loc.locate(&mesh, p);
+            for &r in max_dists.iter().chain(&[0.0, f64::INFINITY]) {
+                let want = match full {
+                    Some(Location::Inside(_)) => full,
+                    Some(Location::Clamped(_, d)) if d <= r => full,
+                    _ => None,
+                };
+                prop_assert_eq!(loc.locate_within(&mesh, p, r), want, "p {:?} r {}", p, r);
+            }
         }
     }
 
