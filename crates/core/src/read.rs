@@ -1925,7 +1925,13 @@ mod tests {
         c.write("t.bp", "v", &mesh, &data).unwrap();
         let serial = c.open("t.bp").unwrap();
         let expect = serial.read_level("v", 0).unwrap();
-        let reader = c.open("t.bp").unwrap().with_pipeline_depth(4);
+        // No level cache: the repeat read must decode again to reuse the
+        // first read's retired buffers.
+        let reader = c
+            .open("t.bp")
+            .unwrap()
+            .with_pipeline_depth(4)
+            .with_level_cache(0);
         let first = reader.read_level("v", 0).unwrap();
         let again = reader.read_level("v", 0).unwrap();
         for out in [&first, &again] {

@@ -16,8 +16,22 @@
 //! Rejected edges are simply discarded — their endpoints usually become
 //! collapsible via other edges; if the queue drains before the target is
 //! met the achieved ratio is reported honestly.
+//!
+//! Every edge enters the priority queue once: the input edges at the
+//! start, and each edge of a collapse's new vertex when it is created.
+//! An edge leaves the mesh only when one of its endpoints is collapsed
+//! away, so a popped edge is live exactly when both endpoints are alive;
+//! the driver checks that and needs no live-edge set (see [`crate::pqueue`]).
+//!
+//! A collapse allocates only when an append-only array outgrows its
+//! capacity (amortized, never per call). Vertex→triangle incidence is one
+//! append-only arena: the input vertices' lists are a CSR block filled in
+//! triangle order, and each new vertex appends its rewired triangles at
+//! the end. Lists are never edited; a dead triangle stays listed and is
+//! skipped through `alive_t`. The per-collapse neighbor and rewiring
+//! lists live in reusable scratch buffers.
 
-use crate::pqueue::{edge, EdgeQueue};
+use crate::pqueue::{edge, Edge, EdgeQueue};
 use canopus_mesh::geometry::{signed_area2, Point2, GEOM_EPS};
 use canopus_mesh::TriMesh;
 
@@ -40,14 +54,40 @@ pub struct DecimationResult {
     pub original_index: Vec<Option<u32>>,
 }
 
-struct Working {
+/// How the queue orders the input edges.
+#[derive(Debug, Clone, Copy)]
+enum Order {
+    /// Edge length (the paper's default).
+    Shortest,
+    /// Length scaled up by the data contrast across the edge.
+    DataAware(f64),
+    /// A seeded hash of the edge.
+    Random(u64),
+}
+
+/// Per-collapse buffers, kept across collapses so none allocates.
+#[derive(Default)]
+struct Scratch {
+    /// Sorted one-ring of `u`; after a commit, the one-ring of `k`.
+    nu: Vec<u32>,
+    /// Sorted one-ring of `v`.
+    nv: Vec<u32>,
+    /// Rewired triangles: id and new corners.
+    new_tris: Vec<(u32, [u32; 3])>,
+    /// Sorted corners of `new_tris`, for the duplicate check.
+    seen: Vec<[u32; 3]>,
+}
+
+struct Working<'a> {
     points: Vec<Point2>,
     data: Vec<f64>,
     alive_v: Vec<bool>,
     tris: Vec<[u32; 3]>,
     alive_t: Vec<bool>,
-    /// Triangles incident to each vertex.
-    vtris: Vec<Vec<u32>>,
+    /// Triangles incident to vertex `x`:
+    /// `incidence[inc_start[x]..inc_start[x + 1]]`.
+    incidence: Vec<u32>,
+    inc_start: Vec<usize>,
     alive_count: usize,
     queue: EdgeQueue,
     /// Data-contrast weight in the edge priority (0 = pure shortest-edge,
@@ -55,13 +95,14 @@ struct Working {
     data_weight: f64,
     /// `1 / field_range`, precomputed for the priority formula.
     inv_range: f64,
-    /// Vertices that must survive (partition-shared vertices in the
+    /// Input vertices that must survive (partition-shared vertices in the
     /// parallel decimation). Empty = none frozen.
-    frozen: Vec<bool>,
+    frozen: &'a [bool],
+    scratch: Scratch,
 }
 
-impl Working {
-    fn new(mesh: &TriMesh, data: &[f64], data_weight: f64) -> Self {
+impl<'a> Working<'a> {
+    fn new(mesh: &TriMesh, data: &[f64], order: Order, frozen: &'a [bool]) -> Self {
         assert_eq!(
             mesh.num_vertices(),
             data.len(),
@@ -69,32 +110,58 @@ impl Working {
         );
         let nv = mesh.num_vertices();
         let tris: Vec<[u32; 3]> = mesh.triangles().to_vec();
-        let mut vtris = vec![Vec::new(); nv];
+        let mut inc_start = vec![0usize; nv + 1];
+        for t in &tris {
+            for &v in t {
+                inc_start[v as usize + 1] += 1;
+            }
+        }
+        for v in 0..nv {
+            inc_start[v + 1] += inc_start[v];
+        }
+        let mut fill = inc_start[..nv].to_vec();
+        let mut incidence = vec![0u32; inc_start[nv]];
         for (ti, t) in tris.iter().enumerate() {
             for &v in t {
-                vtris[v as usize].push(ti as u32);
+                incidence[fill[v as usize]] = ti as u32;
+                fill[v as usize] += 1;
             }
         }
         let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let inv_range = 1.0 / (hi - lo).max(f64::MIN_POSITIVE);
         let mut w = Self {
             points: mesh.points().to_vec(),
             data: data.to_vec(),
             alive_v: vec![true; nv],
             alive_t: vec![true; tris.len()],
             tris,
-            vtris,
+            incidence,
+            inc_start,
             alive_count: nv,
-            queue: EdgeQueue::with_capacity(mesh.num_triangles() * 3 / 2),
-            data_weight,
-            inv_range,
-            frozen: Vec::new(),
+            queue: EdgeQueue::new(),
+            data_weight: match order {
+                Order::DataAware(weight) => weight,
+                Order::Shortest | Order::Random(_) => 0.0,
+            },
+            inv_range: 1.0 / (hi - lo).max(f64::MIN_POSITIVE),
+            frozen,
+            scratch: Scratch::default(),
         };
-        for &(u, v) in &mesh.edges() {
-            let pr = w.priority(u, v);
-            w.queue.push(edge(u, v), pr);
+        // Each edge once, from its lower endpoint's one-ring. The heap's
+        // pop order depends only on the keys, not on this listing order.
+        let mut entries: Vec<(Edge, f64)> = Vec::with_capacity(w.incidence.len() / 2 + nv);
+        let mut ring = Vec::new();
+        for u in 0..nv as u32 {
+            w.neighbors(u, &mut ring);
+            for &v in ring.iter().filter(|&&v| v > u) {
+                let pr = match order {
+                    Order::Random(seed) => hash_priority(u, v, seed),
+                    Order::Shortest | Order::DataAware(_) => w.priority(u, v),
+                };
+                entries.push(((u, v), pr));
+            }
         }
+        w.queue = EdgeQueue::from_entries(entries);
         w
     }
 
@@ -110,10 +177,16 @@ impl Working {
         }
     }
 
-    /// Sorted unique one-ring neighbors of `v` (alive triangles only).
-    fn neighbors(&self, v: u32) -> Vec<u32> {
-        let mut out = Vec::with_capacity(8);
-        for &t in &self.vtris[v as usize] {
+    /// Every triangle ever incident to `v`, dead ones included.
+    fn incident(&self, v: u32) -> &[u32] {
+        &self.incidence[self.inc_start[v as usize]..self.inc_start[v as usize + 1]]
+    }
+
+    /// Sorted unique one-ring neighbors of `v` (alive triangles only),
+    /// written into `out`.
+    fn neighbors(&self, v: u32, out: &mut Vec<u32>) {
+        out.clear();
+        for &t in self.incident(v) {
             if !self.alive_t[t as usize] {
                 continue;
             }
@@ -125,44 +198,50 @@ impl Working {
         }
         out.sort_unstable();
         out.dedup();
-        out
     }
 
-    /// Alive triangles containing both `u` and `v`.
-    fn edge_triangles(&self, u: u32, v: u32) -> Vec<u32> {
-        self.vtris[u as usize]
-            .iter()
-            .copied()
-            .filter(|&t| self.alive_t[t as usize] && self.tris[t as usize].contains(&v))
-            .collect()
+    /// Alive triangles containing both `u` and `v`: one for a boundary
+    /// edge, two for an interior one. `None` for any other count, which
+    /// no collapsible edge of a manifold mesh has.
+    fn edge_triangles(&self, u: u32, v: u32) -> Option<([u32; 2], usize)> {
+        let mut found = [0u32; 2];
+        let mut n = 0;
+        for &t in self.incident(u) {
+            if self.alive_t[t as usize] && self.tris[t as usize].contains(&v) {
+                if n == 2 {
+                    return None;
+                }
+                found[n] = t;
+                n += 1;
+            }
+        }
+        (n > 0).then_some((found, n))
     }
 
     /// Attempt to collapse edge `(u, v)`. Returns whether it happened.
     fn try_collapse(&mut self, u: u32, v: u32) -> bool {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let done = self.collapse_with(u, v, &mut scratch);
+        self.scratch = scratch;
+        done
+    }
+
+    fn collapse_with(&mut self, u: u32, v: u32, s: &mut Scratch) -> bool {
         debug_assert!(self.alive_v[u as usize] && self.alive_v[v as usize]);
-        if !self.frozen.is_empty()
-            && (self.frozen.get(u as usize).copied().unwrap_or(false)
-                || self.frozen.get(v as usize).copied().unwrap_or(false))
-        {
+        let is_frozen = |x: u32| self.frozen.get(x as usize) == Some(&true);
+        if is_frozen(u) || is_frozen(v) {
             return false;
         }
-        let tris_uv = self.edge_triangles(u, v);
-        // A manifold interior edge has 2 incident triangles, a boundary
-        // edge 1. Anything else is already broken.
-        if tris_uv.is_empty() || tris_uv.len() > 2 {
+        let Some((uv_buf, uv_len)) = self.edge_triangles(u, v) else {
             return false;
-        }
+        };
+        let tris_uv = &uv_buf[..uv_len];
 
         // Link condition: common one-ring neighbors must be exactly the
         // opposite vertices of the edge's triangles.
-        let nu = self.neighbors(u);
-        let nv = self.neighbors(v);
-        let common: Vec<u32> = nu
-            .iter()
-            .copied()
-            .filter(|x| nv.binary_search(x).is_ok())
-            .collect();
-        if common.len() != tris_uv.len() {
+        self.neighbors(u, &mut s.nu);
+        self.neighbors(v, &mut s.nv);
+        if sorted_common_count(&s.nu, &s.nv) != tris_uv.len() {
             return false;
         }
 
@@ -170,11 +249,11 @@ impl Working {
 
         // Simulate the rewired triangles: all must stay positively
         // oriented and mutually distinct.
-        let mut new_tris: Vec<(u32, [u32; 3])> = Vec::with_capacity(8);
         let k_id = self.points.len() as u32;
-        let mut seen: Vec<[u32; 3]> = Vec::with_capacity(8);
-        for &src in [u, v].iter() {
-            for &t in &self.vtris[src as usize] {
+        s.new_tris.clear();
+        s.seen.clear();
+        for src in [u, v] {
+            for &t in self.incident(src) {
                 if !self.alive_t[t as usize] || tris_uv.contains(&t) {
                     continue;
                 }
@@ -196,11 +275,11 @@ impl Working {
                 }
                 let mut sorted = tri;
                 sorted.sort_unstable();
-                if seen.contains(&sorted) {
+                if s.seen.contains(&sorted) {
                     return false; // would create a duplicate triangle
                 }
-                seen.push(sorted);
-                new_tris.push((t, tri));
+                s.seen.push(sorted);
+                s.new_tris.push((t, tri));
             }
         }
 
@@ -209,29 +288,22 @@ impl Working {
         self.points.push(k_pos);
         self.data.push(k_data);
         self.alive_v.push(true);
-        self.vtris.push(Vec::with_capacity(new_tris.len()));
-
-        for &t in &tris_uv {
+        for &t in tris_uv {
             self.alive_t[t as usize] = false;
         }
-        for (t, tri) in &new_tris {
-            self.tris[*t as usize] = *tri;
-            self.vtris[k_id as usize].push(*t);
+        for &(t, tri) in &s.new_tris {
+            self.tris[t as usize] = tri;
+            self.incidence.push(t);
         }
+        self.inc_start.push(self.incidence.len());
         self.alive_v[u as usize] = false;
         self.alive_v[v as usize] = false;
         // Net vertex change: -2 dead +1 new.
         self.alive_count -= 1;
 
-        // Queue maintenance: drop edges incident to u and v, insert edges
-        // incident to k.
-        for &x in &nu {
-            self.queue.remove(edge(u, x));
-        }
-        for &x in &nv {
-            self.queue.remove(edge(v, x));
-        }
-        for x in self.neighbors(k_id) {
+        // Edges at u and v died with them; the edges at k are new.
+        self.neighbors(k_id, &mut s.nu);
+        for &x in &s.nu {
             let pr = self.priority(k_id, x);
             self.queue.push(edge(k_id, x), pr);
         }
@@ -268,26 +340,46 @@ impl Working {
     }
 }
 
-/// Decimate `mesh`/`data` by `ratio` (paper default 2): collapse shortest
-/// edges until `|V^{l+1}| <= |V^l| / ratio` or no collapsible edge
-/// remains.
-///
-/// # Panics
-/// Panics if `ratio < 1` or `data.len() != mesh.num_vertices()`.
-pub fn decimate(mesh: &TriMesh, data: &[f64], ratio: f64) -> DecimationResult {
+/// Number of values two sorted, duplicate-free slices share.
+fn sorted_common_count(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                n += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    n
+}
+
+/// The one decimation driver: pop the best edge, skip it if an endpoint
+/// has died (the edge died with it), else try to collapse it, until the
+/// vertex target is met or the queue drains.
+fn run(
+    mesh: &TriMesh,
+    data: &[f64],
+    ratio: f64,
+    order: Order,
+    frozen: &[bool],
+) -> DecimationResult {
     assert!(ratio >= 1.0, "decimation ratio must be >= 1, got {ratio}");
     let n0 = mesh.num_vertices();
     let target = ((n0 as f64 / ratio).ceil() as usize).max(3);
 
-    let mut w = Working::new(mesh, data, 0.0);
+    let mut w = Working::new(mesh, data, order, frozen);
     let mut collapses = 0usize;
     let mut rejected = 0usize;
     while w.alive_count > target {
-        let Some(((u, v), _len)) = w.queue.pop() else {
+        let Some(((u, v), _)) = w.queue.pop() else {
             break; // no collapsible edges left
         };
         if !w.alive_v[u as usize] || !w.alive_v[v as usize] {
-            continue; // stale entry
+            continue;
         }
         if w.try_collapse(u, v) {
             collapses += 1;
@@ -296,9 +388,7 @@ pub fn decimate(mesh: &TriMesh, data: &[f64], ratio: f64) -> DecimationResult {
         }
     }
 
-    let alive = w.alive_count;
     let (out_mesh, out_data, original_index) = w.finish(n0);
-    debug_assert_eq!(out_mesh.num_vertices(), alive);
     DecimationResult {
         achieved_ratio: n0 as f64 / out_mesh.num_vertices().max(1) as f64,
         mesh: out_mesh,
@@ -307,6 +397,16 @@ pub fn decimate(mesh: &TriMesh, data: &[f64], ratio: f64) -> DecimationResult {
         rejected,
         original_index,
     }
+}
+
+/// Decimate `mesh`/`data` by `ratio` (paper default 2): collapse shortest
+/// edges until `|V^{l+1}| <= |V^l| / ratio` or no collapsible edge
+/// remains.
+///
+/// # Panics
+/// Panics if `ratio < 1` or `data.len() != mesh.num_vertices()`.
+pub fn decimate(mesh: &TriMesh, data: &[f64], ratio: f64) -> DecimationResult {
+    run(mesh, data, ratio, Order::Shortest, &[])
 }
 
 /// Decimate while *freezing* the flagged vertices (they survive
@@ -319,37 +419,8 @@ pub fn decimate_frozen(
     ratio: f64,
     frozen: &[bool],
 ) -> DecimationResult {
-    assert!(ratio >= 1.0, "decimation ratio must be >= 1");
     assert_eq!(frozen.len(), mesh.num_vertices(), "one flag per vertex");
-    let n0 = mesh.num_vertices();
-    let target = ((n0 as f64 / ratio).ceil() as usize).max(3);
-
-    let mut w = Working::new(mesh, data, 0.0);
-    w.frozen = frozen.to_vec();
-    let mut collapses = 0usize;
-    let mut rejected = 0usize;
-    while w.alive_count > target {
-        let Some(((u, v), _)) = w.queue.pop() else {
-            break;
-        };
-        if !w.alive_v[u as usize] || !w.alive_v[v as usize] {
-            continue;
-        }
-        if w.try_collapse(u, v) {
-            collapses += 1;
-        } else {
-            rejected += 1;
-        }
-    }
-    let (out_mesh, out_data, original_index) = w.finish(n0);
-    DecimationResult {
-        achieved_ratio: n0 as f64 / out_mesh.num_vertices().max(1) as f64,
-        mesh: out_mesh,
-        data: out_data,
-        collapses,
-        rejected,
-        original_index,
-    }
+    run(mesh, data, ratio, Order::Shortest, frozen)
 }
 
 /// Data-aware collapse ordering: prioritize edges by
@@ -364,87 +435,22 @@ pub fn decimate_data_aware(
     ratio: f64,
     weight: f64,
 ) -> DecimationResult {
-    assert!(ratio >= 1.0, "decimation ratio must be >= 1");
     assert!(weight >= 0.0, "weight must be non-negative");
-    let n0 = mesh.num_vertices();
-    let target = ((n0 as f64 / ratio).ceil() as usize).max(3);
-
-    let mut w = Working::new(mesh, data, weight);
-    let mut collapses = 0usize;
-    let mut rejected = 0usize;
-    while w.alive_count > target {
-        let Some(((u, v), _)) = w.queue.pop() else {
-            break;
-        };
-        if !w.alive_v[u as usize] || !w.alive_v[v as usize] {
-            continue;
-        }
-        if w.try_collapse(u, v) {
-            collapses += 1;
-        } else {
-            rejected += 1;
-        }
-    }
-    let (out_mesh, out_data, original_index) = w.finish(n0);
-    DecimationResult {
-        achieved_ratio: n0 as f64 / out_mesh.num_vertices().max(1) as f64,
-        mesh: out_mesh,
-        data: out_data,
-        collapses,
-        rejected,
-        original_index,
-    }
+    run(mesh, data, ratio, Order::DataAware(weight), &[])
 }
 
 /// Random-order collapse baseline for the ablation bench: identical
-/// machinery, but the "priority" is a hash of the edge instead of its
-/// length. Shows why shortest-edge ordering preserves features.
+/// machinery, but the input edges are keyed by a seeded hash instead of
+/// their length. Edges created by collapses are keyed by length, so this
+/// randomizes the order of the input edges only. Shows why shortest-edge
+/// ordering preserves features.
 pub fn decimate_random_order(
     mesh: &TriMesh,
     data: &[f64],
     ratio: f64,
     seed: u64,
 ) -> DecimationResult {
-    assert!(ratio >= 1.0);
-    let n0 = mesh.num_vertices();
-    let target = ((n0 as f64 / ratio).ceil() as usize).max(3);
-
-    let mut w = Working::new(mesh, data, 0.0);
-    // Rebuild the queue with hashed priorities.
-    let mut q = EdgeQueue::with_capacity(mesh.num_edges());
-    for &(u, v) in &mesh.edges() {
-        q.push(edge(u, v), hash_priority(u, v, seed));
-    }
-    w.queue = q;
-
-    let mut collapses = 0usize;
-    let mut rejected = 0usize;
-    while w.alive_count > target {
-        let Some(((u, v), _)) = w.queue.pop() else {
-            break;
-        };
-        if !w.alive_v[u as usize] || !w.alive_v[v as usize] {
-            continue;
-        }
-        // New edges created by collapses get hashed priorities too: patch
-        // them by draining/reinserting is overkill; instead we rely on
-        // try_collapse pushing length-keyed entries, which is fine for a
-        // baseline (the initial order is already randomized).
-        if w.try_collapse(u, v) {
-            collapses += 1;
-        } else {
-            rejected += 1;
-        }
-    }
-    let (out_mesh, out_data, original_index) = w.finish(n0);
-    DecimationResult {
-        achieved_ratio: n0 as f64 / out_mesh.num_vertices().max(1) as f64,
-        mesh: out_mesh,
-        data: out_data,
-        collapses,
-        rejected,
-        original_index,
-    }
+    run(mesh, data, ratio, Order::Random(seed), &[])
 }
 
 fn hash_priority(u: u32, v: u32, seed: u64) -> f64 {

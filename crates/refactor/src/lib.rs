@@ -13,7 +13,8 @@
 //! (uncompressed) deltas it reproduces `L^0` bit-for-bit.
 //!
 //! Modules:
-//! * [`pqueue`] — the edge priority queue (shortest first, lazy deletion);
+//! * [`pqueue`] — the edge priority queue (shortest first, each edge
+//!   pushed once);
 //! * [`decimate`] — edge-collapse decimation with link-condition and
 //!   orientation guards so every level stays a manifold triangulation;
 //! * [`mapping`] — fine-vertex → coarse-triangle mapping (stored into BP

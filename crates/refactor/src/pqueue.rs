@@ -1,13 +1,23 @@
 //! Edge priority queue for decimation.
 //!
-//! Paper Alg. 1 pops the shortest edge first. Edges never change length
-//! once created (a collapse deletes edges and creates new ones; it never
-//! moves surviving endpoints), so a lazy-deletion binary heap is exact:
-//! stale entries are skipped at pop time by checking membership in the
-//! live-edge set.
+//! Paper Alg. 1 pops the shortest edge first. The queue is a plain binary
+//! min-heap keyed by `(priority, edge)`, with no membership set beside it,
+//! because decimation pushes every edge at most once:
+//!
+//! * the initial edges of a mesh are unique;
+//! * every later push is an edge to the vertex a collapse just created,
+//!   which no earlier edge can touch.
+//!
+//! So no key repeats, the pop sequence is fully determined by the keys
+//! (the heap's internal layout, and so how it was built, cannot change
+//! it), and an edge never needs re-keying: a collapse deletes edges and
+//! creates new ones, it never moves a surviving endpoint. An edge leaves
+//! the mesh only when one of its endpoints is collapsed away, so an entry
+//! is live exactly while both its endpoints are alive. The decimation
+//! driver checks that at pop time and skips the rest.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// An undirected edge as an ordered vertex pair.
 pub type Edge = (u32, u32);
@@ -45,11 +55,10 @@ impl Ord for Len {
     }
 }
 
-/// Min-heap of edges keyed by length, with lazy deletion.
+/// Min-heap of edges keyed by priority, ties broken on the vertex ids.
 #[derive(Debug, Default)]
 pub struct EdgeQueue {
     heap: BinaryHeap<Reverse<(Len, Edge)>>,
-    live: HashSet<Edge>,
 }
 
 impl EdgeQueue {
@@ -57,48 +66,30 @@ impl EdgeQueue {
         Self::default()
     }
 
-    pub fn with_capacity(n: usize) -> Self {
+    /// Heapify `(edge, priority)` entries in O(n).
+    pub fn from_entries(entries: Vec<(Edge, f64)>) -> Self {
+        let keyed: Vec<_> = entries
+            .into_iter()
+            .map(|(e, pr)| {
+                debug_assert!(e.0 < e.1, "edges must be normalized");
+                Reverse((Len::new(pr), e))
+            })
+            .collect();
         Self {
-            heap: BinaryHeap::with_capacity(n),
-            live: HashSet::with_capacity(n),
+            heap: BinaryHeap::from(keyed),
         }
     }
 
-    /// Number of live edges.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
-    pub fn contains(&self, e: Edge) -> bool {
-        self.live.contains(&e)
-    }
-
-    /// Insert an edge with its length. Re-inserting a live edge is a
-    /// no-op (the first length wins — lengths are immutable anyway).
-    pub fn push(&mut self, e: Edge, length: f64) {
+    /// Insert an edge with its priority. The caller pushes each edge at
+    /// most once (see the module docs).
+    pub fn push(&mut self, e: Edge, priority: f64) {
         debug_assert!(e.0 < e.1, "edges must be normalized");
-        if self.live.insert(e) {
-            self.heap.push(Reverse((Len::new(length), e)));
-        }
+        self.heap.push(Reverse((Len::new(priority), e)));
     }
 
-    /// Mark an edge dead (lazy: the heap entry is skipped later).
-    pub fn remove(&mut self, e: Edge) {
-        self.live.remove(&e);
-    }
-
-    /// Pop the shortest live edge, or `None` when exhausted.
+    /// Pop the lowest-priority edge, or `None` when exhausted.
     pub fn pop(&mut self) -> Option<(Edge, f64)> {
-        while let Some(Reverse((len, e))) = self.heap.pop() {
-            if self.live.remove(&e) {
-                return Some((e, len.0));
-            }
-        }
-        None
+        self.heap.pop().map(|Reverse((len, e))| (e, len.0))
     }
 }
 
@@ -115,29 +106,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().0, (1, 2));
         assert_eq!(q.pop().unwrap().0, (2, 3));
         assert_eq!(q.pop().unwrap().0, (0, 1));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn lazy_deletion_skips_removed_edges() {
-        let mut q = EdgeQueue::new();
-        q.push(edge(0, 1), 1.0);
-        q.push(edge(1, 2), 2.0);
-        q.remove(edge(0, 1));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().0, (1, 2));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn duplicate_push_is_noop() {
-        let mut q = EdgeQueue::new();
-        q.push(edge(0, 1), 1.0);
-        q.push(edge(1, 0), 5.0); // same edge, normalized
-        assert_eq!(q.len(), 1);
-        let (e, len) = q.pop().unwrap();
-        assert_eq!(e, (0, 1));
-        assert_eq!(len, 1.0);
         assert!(q.pop().is_none());
     }
 
@@ -162,17 +130,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "NaN")]
-    fn rejects_nan_length() {
-        EdgeQueue::new().push(edge(0, 1), f64::NAN);
+    fn heapified_and_pushed_queues_pop_alike() {
+        let entries: Vec<(Edge, f64)> = (0..64u32)
+            .map(|i| (edge(i, i + 1), ((i * 37) % 11) as f64))
+            .collect();
+        let mut pushed = EdgeQueue::new();
+        for &(e, pr) in &entries {
+            pushed.push(e, pr);
+        }
+        let mut built = EdgeQueue::from_entries(entries);
+        let a: Vec<_> = std::iter::from_fn(|| pushed.pop()).collect();
+        let b: Vec<_> = std::iter::from_fn(|| built.pop()).collect();
+        assert_eq!(a.len(), 64);
+        assert_eq!(a, b);
     }
 
     #[test]
-    fn reinsert_after_pop_allowed() {
-        let mut q = EdgeQueue::new();
-        q.push(edge(0, 1), 1.0);
-        q.pop().unwrap();
-        q.push(edge(0, 1), 2.0);
-        assert_eq!(q.pop().unwrap(), ((0, 1), 2.0));
+    #[should_panic(expected = "NaN")]
+    fn rejects_nan_length() {
+        EdgeQueue::new().push(edge(0, 1), f64::NAN);
     }
 }

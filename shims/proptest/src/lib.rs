@@ -415,46 +415,59 @@ macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
         $crate::proptest!(@cfg($cfg) $($rest)*);
     };
-    (@cfg($cfg:expr) $($(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
+    // Attributes are captured as raw token trees (not `meta` fragments)
+    // so the `@attrs` arms below can still match a literal `#[test]`.
+    (@cfg($cfg:expr) $($(#[$($attr:tt)*])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
-            $(#[$meta])*
-            #[test]
-            fn $name() {
-                let config: $crate::test_runner::ProptestConfig = $cfg;
-                let mut rng = $crate::test_runner::TestRng::for_test(
-                    concat!(module_path!(), "::", stringify!($name)),
-                );
-                let mut passed = 0u32;
-                let mut rejected = 0u32;
-                while passed < config.cases {
-                    let result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                        (|| {
-                            $(let $pat = $crate::strategy::Strategy::sample(&($strat), &mut rng);)+
-                            $body
-                            #[allow(unreachable_code)]
-                            Ok(())
-                        })();
-                    match result {
-                        Ok(()) => passed += 1,
-                        Err($crate::test_runner::TestCaseError::Reject(_)) => {
-                            rejected += 1;
-                            if rejected > config.max_global_rejects {
-                                panic!(
-                                    "proptest {}: too many prop_assume! rejections ({rejected})",
-                                    stringify!($name),
-                                );
-                            }
-                        }
-                        Err($crate::test_runner::TestCaseError::Fail(msg)) => {
+            $crate::proptest!(@attrs($cfg) [] [$(#[$($attr)*])*] fn $name($($pat in $strat),+) $body);
+        )*
+    };
+    // The macro adds `#[test]` itself, so drop a caller-written one:
+    // emitting both registers the test twice.
+    (@attrs($cfg:expr) [$($kept:tt)*] [#[test] $($more:tt)*] $($item:tt)*) => {
+        $crate::proptest!(@attrs($cfg) [$($kept)*] [$($more)*] $($item)*);
+    };
+    (@attrs($cfg:expr) [$($kept:tt)*] [#[$($attr:tt)*] $($more:tt)*] $($item:tt)*) => {
+        $crate::proptest!(@attrs($cfg) [$($kept)* #[$($attr)*]] [$($more)*] $($item)*);
+    };
+    (@attrs($cfg:expr) [$($kept:tt)*] [] fn $name:ident($($pat:pat in $strat:expr),+) $body:block) => {
+        $($kept)*
+        #[test]
+        fn $name() {
+            let config: $crate::test_runner::ProptestConfig = $cfg;
+            let mut rng = $crate::test_runner::TestRng::for_test(
+                concat!(module_path!(), "::", stringify!($name)),
+            );
+            let mut passed = 0u32;
+            let mut rejected = 0u32;
+            while passed < config.cases {
+                let result: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
+                    (|| {
+                        $(let $pat = $crate::strategy::Strategy::sample(&($strat), &mut rng);)+
+                        $body
+                        #[allow(unreachable_code)]
+                        Ok(())
+                    })();
+                match result {
+                    Ok(()) => passed += 1,
+                    Err($crate::test_runner::TestCaseError::Reject(_)) => {
+                        rejected += 1;
+                        if rejected > config.max_global_rejects {
                             panic!(
-                                "proptest {} failed after {passed} passing cases: {msg}",
+                                "proptest {}: too many prop_assume! rejections ({rejected})",
                                 stringify!($name),
                             );
                         }
                     }
+                    Err($crate::test_runner::TestCaseError::Fail(msg)) => {
+                        panic!(
+                            "proptest {} failed after {passed} passing cases: {msg}",
+                            stringify!($name),
+                        );
+                    }
                 }
             }
-        )*
+        }
     };
     ($($rest:tt)*) => {
         $crate::proptest!(@cfg($crate::test_runner::ProptestConfig::default()) $($rest)*);
