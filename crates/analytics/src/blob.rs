@@ -14,13 +14,14 @@
 //! 4. keep groups seen in at least `minRepeatability` thresholds; report
 //!    each as one blob at the averaged center with the averaged radius.
 //!
-//! We detect *bright* blobs (high electric potential). Step 2 runs in
-//! parallel across thresholds; step 3 then walks the thresholds in order,
-//! so the blob list does not depend on the worker count.
+//! We detect *bright* blobs (high electric potential). Step 2 labels all
+//! thresholds in one serial sweep that adds each pixel once, brightest
+//! first ([`label_thresholds`]), instead of labeling every mask from
+//! scratch; its components are those of a per-mask BFS, bit for bit.
+//! Step 3 walks the thresholds in ascending order.
 
-use crate::components::label_components;
+use crate::components::label_thresholds;
 use crate::raster::GrayImage;
-use rayon::prelude::*;
 
 /// Detector parameters. Defaults mirror OpenCV's SimpleBlobDetector
 /// (thresholdStep 10, minDistBetweenBlobs 10, minRepeatability 2).
@@ -123,40 +124,25 @@ impl BlobDetector {
             "threshold range inverted"
         );
 
-        // Threshold levels are independent: label them in parallel. The
-        // even levels go first, then the odd ones, so both contiguous
-        // worker halves get a share of the foreground-heavy low levels.
+        // One sweep labels every threshold (see `components`).
         let levels: Vec<u8> = (p.min_threshold as u32..=p.max_threshold as u32)
             .step_by(p.threshold_step as usize)
             .map(|t| t as u8)
             .collect();
-        let order: Vec<u8> = levels
-            .iter()
-            .step_by(2)
-            .chain(levels.iter().skip(1).step_by(2))
-            .copied()
-            .collect();
-        let mut labelled: Vec<(u8, Vec<Observation>)> = order
-            .into_par_iter()
-            .map(|t| {
-                let mask = image.threshold(t);
-                let obs = label_components(&mask, image.width, image.height)
-                    .into_iter()
-                    .filter(|c| c.area >= p.min_area && c.area <= p.max_area)
-                    .map(|c| Observation {
-                        center: c.centroid,
-                        radius: c.radius(),
-                        area: c.area as f64,
-                    })
-                    .collect();
-                (t, obs)
-            })
-            .collect();
-        labelled.sort_unstable_by_key(|&(t, _)| t);
+        let labelled = label_thresholds(&image.data, image.width, image.height, &levels);
+        let observations = labelled
+            .into_iter()
+            .flatten()
+            .filter(|c| c.area >= p.min_area && c.area <= p.max_area)
+            .map(|c| Observation {
+                center: c.centroid,
+                radius: c.radius(),
+                area: c.area as f64,
+            });
 
         // Group observations across thresholds, in threshold order.
         let mut groups: Vec<Vec<Observation>> = Vec::new();
-        for obs in labelled.into_iter().flat_map(|(_, obs)| obs) {
+        for obs in observations {
             // Find the nearest existing group (by its latest center).
             let mut best: Option<(usize, f64)> = None;
             for (gi, group) in groups.iter().enumerate() {

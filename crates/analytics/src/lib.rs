@@ -13,7 +13,8 @@
 //! * [`raster`] — barycentric rasterization of a mesh field into a pixel
 //!   grid plus 0–255 grayscale normalization (shared across accuracy
 //!   levels so pixel metrics are comparable);
-//! * [`components`] — 8-connected component labeling on binary masks;
+//! * [`components`] — 8-connected component labeling, every threshold of
+//!   one image in a single union-find sweep;
 //! * [`blob`] — the threshold-sweep detector with cross-threshold center
 //!   grouping and min-area filtering, mirroring SimpleBlobDetector;
 //! * [`metrics`] — the paper's four blob metrics including the

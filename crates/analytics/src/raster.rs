@@ -7,19 +7,30 @@
 //! rasterized over the *same* bounds and normalization range so the
 //! paper's pixel-unit metrics compare level to level.
 //!
+//! The pixels are not located one by one. The triangles are scan-converted
+//! in ascending id: each tests the pixels whose locator cell lists it
+//! ([`GridLocator::candidates`]), and the first that contains a pixel
+//! claims it and interpolates at the weights of that containment test.
+//! Every cell lists its triangles in ascending id, so this is exactly the
+//! answer [`GridLocator::locate`]'s fast path gives, and the claim rule
+//! makes the result independent of how the rows are split into parallel
+//! bands.
+//!
 //! Pixels within a small slack of the hull still sample their nearest
-//! triangle. The locator search is bounded by that slack
-//! ([`GridLocator::locate_within`]), so a pixel in a hole (the XGC1
-//! annulus) or outside the hull costs a couple of cell rings instead of a
-//! nearest-triangle search that would be thrown away. The bound changes
-//! no pixel: the bounded search returns the same triangle as the
-//! unbounded one whenever that triangle is inside or within the slack, so
-//! rasters are bit-identical to locating every pixel without a bound.
+//! triangle. A pixel that no triangle claims takes the locator's ring
+//! search, bounded by that slack ([`GridLocator::search_rings`]), unless
+//! it lies outside every triangle's bounding box grown by the slack: then
+//! no triangle can contain it or lie within the slack, and it is NaN
+//! without a search. So a pixel in a hole (the XGC1 annulus) or far
+//! outside the hull costs nothing, and rasters are bit-identical to
+//! locating every pixel with the unbounded [`GridLocator::locate`].
 
 use canopus_mesh::geometry::{Aabb, Point2};
-use canopus_mesh::locate::GridLocator;
+use canopus_mesh::locate::{blend, interpolate, GridLocator, SampleGrid};
+use canopus_mesh::mesh::TriId;
 use canopus_mesh::TriMesh;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// A rasterized scalar field.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,28 +61,38 @@ impl Raster {
         assert!(!bounds.is_empty(), "raster bounds must be non-empty");
         assert_eq!(data.len(), mesh.num_vertices());
 
-        let locator = GridLocator::build(mesh);
+        // Pixel centres.
+        let xs: Vec<f64> = (0..width)
+            .map(|col| bounds.min.x + bounds.width() * (col as f64 + 0.5) / width as f64)
+            .collect();
+        let ys: Vec<f64> = (0..height)
+            .map(|row| bounds.min.y + bounds.height() * (row as f64 + 0.5) / height as f64)
+            .collect();
         // Clamping slack: pixels this close to the hull still sample the
         // nearest triangle (hides hull shrink from decimation).
         let slack = 1.5 * (bounds.width() / width as f64).max(bounds.height() / height as f64);
-
-        let pixels: Vec<f64> = (0..height)
-            .into_par_iter()
-            .flat_map_iter(|row| {
-                let mesh = &mesh;
-                let locator = &locator;
-                (0..width).map(move |col| {
-                    let p = Point2::new(
-                        bounds.min.x + bounds.width() * (col as f64 + 0.5) / width as f64,
-                        bounds.min.y + bounds.height() * (row as f64 + 0.5) / height as f64,
-                    );
-                    match locator.locate_within(mesh, p, slack) {
-                        Some(loc) => interpolate(mesh, data, loc.triangle(), p),
-                        None => f64::NAN,
-                    }
-                })
-            })
-            .collect();
+        let mut pixels = vec![f64::NAN; width * height];
+        if mesh.num_triangles() > 0 {
+            let locator = GridLocator::build(mesh);
+            let hull = mesh.aabb();
+            let scan = Scan {
+                mesh,
+                data,
+                grid: locator.sample_grid(xs, ys),
+                locator,
+                slack,
+                pad: slack + 1e-6 * (slack + hull.width() + hull.height()),
+            };
+            // One band of rows per worker.
+            let bands = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let band_rows = height.div_ceil(bands);
+            pixels
+                .par_chunks_mut(band_rows * width)
+                .enumerate()
+                .for_each(|(b, out)| {
+                    scan.band(b * band_rows..b * band_rows + out.len() / width, out);
+                });
+        }
 
         Self {
             width,
@@ -158,18 +179,59 @@ impl Raster {
     }
 }
 
-fn interpolate(mesh: &TriMesh, data: &[f64], t: u32, p: Point2) -> f64 {
-    let [a, b, c] = mesh.triangle_vertices(t);
-    let tri = mesh.triangle(t);
-    match tri.barycentric(p) {
-        Some([wa, wb, wc]) => {
-            // Clamp extrapolation weights so clamped boundary pixels stay
-            // within the local value range.
-            let (wa, wb, wc) = (wa.max(0.0), wb.max(0.0), wc.max(0.0));
-            let sum = wa + wb + wc;
-            (wa * data[a as usize] + wb * data[b as usize] + wc * data[c as usize]) / sum
+/// Scan conversion of one mesh field onto one pixel grid.
+struct Scan<'a> {
+    mesh: &'a TriMesh,
+    data: &'a [f64],
+    locator: GridLocator,
+    grid: SampleGrid,
+    slack: f64,
+    /// The slack plus a margin that covers `contains`' barycentric margin,
+    /// rounding in `distance_to` and [`GridLocator::candidates`]' margin.
+    pad: f64,
+}
+
+impl Scan<'_> {
+    /// Fill `out`, the pixels of `rows` (NaN on entry).
+    fn band(&self, rows: Range<usize>, out: &mut [f64]) {
+        let (xs, ys) = (self.grid.xs(), self.grid.ys());
+        let width = xs.len();
+        let (top, bottom) = (ys[rows.start], ys[rows.end - 1]);
+        let mut claimed = vec![false; out.len()];
+        for t in 0..self.mesh.num_triangles() as TriId {
+            let tri = self.mesh.triangle(t);
+            let bb = tri.aabb();
+            if bb.max.y + self.pad < top || bb.min.y - self.pad > bottom {
+                continue;
+            }
+            let (cols, claim_rows) = self.locator.candidates(&self.grid, &bb);
+            let cols_x = &xs[cols.clone()];
+            let first = claim_rows.start.max(rows.start);
+            let end = claim_rows.end.min(rows.end).max(first);
+            for (row, &y) in (first..end).zip(&ys[first..end]) {
+                let line = (row - rows.start) * width;
+                let span = line + cols.start..line + cols.end;
+                let pixels = cols_x.iter().zip(&mut claimed[span.clone()]);
+                for ((&x, claimed), value) in pixels.zip(&mut out[span]) {
+                    if *claimed {
+                        continue;
+                    }
+                    if let Some(w) = tri.inside_weights(Point2::new(x, y)) {
+                        *value = blend(self.mesh, self.data, t, Some(w));
+                        *claimed = true;
+                    }
+                }
+            }
         }
-        None => (data[a as usize] + data[b as usize] + data[c as usize]) / 3.0,
+        for (i, _) in claimed.iter().enumerate().filter(|(_, &c)| !c) {
+            let p = Point2::new(xs[i % width], ys[rows.start + i / width]);
+            if !self.locator.boxes_near(self.mesh, p, self.pad) {
+                continue;
+            }
+            if let Some(loc) = self.locator.search_rings(self.mesh, p, self.slack) {
+                out[i] = interpolate(self.mesh, self.data, loc.triangle(), p);
+            }
+        }
     }
 }
 

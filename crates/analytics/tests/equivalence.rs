@@ -1,18 +1,23 @@
 //! The Fig. 9 analysis path against plain reference implementations.
 //!
-//! `Raster::from_mesh` bounds its locator search by the clamping slack and
-//! `BlobDetector::detect` labels thresholds in parallel. Neither may change
-//! a result: rasters must be bitwise equal to locating every pixel without
-//! a bound, and blob lists equal to a serial fold over the thresholds.
+//! `Raster::from_mesh` scan-converts triangles in ascending id instead of
+//! locating every pixel, and `BlobDetector::detect` labels all thresholds
+//! in one union-find sweep instead of one BFS per threshold. Neither may
+//! change a result: rasters must be bitwise equal to locating every pixel
+//! with the unbounded locator, components equal to a scan-order BFS of
+//! each mask, and blob lists equal to a serial fold over the thresholds of
+//! those BFS components.
 
 use canopus_analytics::blob::{Blob, BlobDetector, BlobParams};
-use canopus_analytics::components::label_components;
+use canopus_analytics::components::{label_components, label_thresholds, Component};
 use canopus_analytics::raster::{GrayImage, Raster};
 use canopus_data::xgc1_dataset_sized;
+use canopus_mesh::generators::{annulus_mesh, jitter_interior, rectangle_mesh};
 use canopus_mesh::geometry::{Aabb, Point2};
 use canopus_mesh::locate::{GridLocator, Location};
 use canopus_mesh::TriMesh;
 use canopus_refactor::levels::{LevelHierarchy, RefactorConfig};
+use proptest::prelude::*;
 
 /// Per-pixel reference: unbounded `locate`, then keep pixels inside the
 /// mesh or clamped within 1.5 pixel sides of it.
@@ -123,14 +128,54 @@ fn reference_covers_hole_hull_and_clamped_pixels() {
     );
 }
 
-/// Serial reference detector: label every threshold in order and group
-/// as the detector documents.
+/// Scan-order BFS labeling of one mask: components in the order a
+/// raster scan first meets them, coordinates summed in f64.
+fn bfs_components(mask: &[bool], width: usize, height: usize) -> Vec<Component> {
+    let mut visited = vec![false; mask.len()];
+    let mut out = Vec::new();
+    let mut queue = Vec::new();
+    for start in 0..mask.len() {
+        if !mask[start] || visited[start] {
+            continue;
+        }
+        visited[start] = true;
+        queue.push(start);
+        let (mut area, mut sum_x, mut sum_y) = (0usize, 0.0f64, 0.0f64);
+        let (mut min_x, mut min_y, mut max_x, mut max_y) = (usize::MAX, usize::MAX, 0, 0);
+        while let Some(idx) = queue.pop() {
+            let (x, y) = (idx % width, idx / width);
+            area += 1;
+            sum_x += x as f64;
+            sum_y += y as f64;
+            (min_x, min_y) = (min_x.min(x), min_y.min(y));
+            (max_x, max_y) = (max_x.max(x), max_y.max(y));
+            for ny in y.saturating_sub(1)..=(y + 1).min(height - 1) {
+                for nx in x.saturating_sub(1)..=(x + 1).min(width - 1) {
+                    let n = ny * width + nx;
+                    if mask[n] && !visited[n] {
+                        visited[n] = true;
+                        queue.push(n);
+                    }
+                }
+            }
+        }
+        out.push(Component {
+            area,
+            centroid: (sum_x / area as f64, sum_y / area as f64),
+            bbox: (min_x, min_y, max_x, max_y),
+        });
+    }
+    out
+}
+
+/// Serial reference detector: BFS-label every threshold in order and
+/// group as the detector documents.
 fn reference_detect(image: &GrayImage, p: &BlobParams) -> Vec<Blob> {
     let mut groups: Vec<Vec<(f64, f64, f64, f64)>> = Vec::new();
     let mut t = p.min_threshold as u32;
     while t <= p.max_threshold as u32 {
         let mask = image.threshold(t as u8);
-        for c in label_components(&mask, image.width, image.height) {
+        for c in bfs_components(&mask, image.width, image.height) {
             if c.area < p.min_area || c.area > p.max_area {
                 continue;
             }
@@ -201,4 +246,139 @@ fn detect_equals_serial_fold_for_any_threshold_count() {
         }
     }
     assert!(seen > 0, "the fixtures must produce blobs");
+}
+
+/// A random gray image: `width` in 1..=40, any height the length allows,
+/// values quantized to multiples of `quant` so that coarse quantizations
+/// give large plateaus and fine ones speckle.
+fn arb_gray() -> impl Strategy<Value = GrayImage> {
+    (
+        proptest::collection::vec(any::<u8>(), 1..700),
+        1usize..41,
+        1u8..255,
+    )
+        .prop_map(|(data, width, quant)| {
+            let width = width.min(data.len());
+            let height = data.len() / width;
+            let data = data[..width * height]
+                .iter()
+                .map(|&v| v / quant * quant)
+                .collect();
+            GrayImage {
+                width,
+                height,
+                data,
+            }
+        })
+}
+
+/// A threshold range and step: `edge` pins the range to start at 0, to
+/// end at 255, or both, or leaves it random.
+fn arb_thresholds() -> impl Strategy<Value = (u8, u8, u8)> {
+    (0u8..4, any::<u8>(), any::<u8>(), 1u8..51).prop_map(|(edge, a, b, step)| {
+        let (lo, hi) = (a.min(b), a.max(b));
+        match edge {
+            0 => (0, hi, step),
+            1 => (lo, 255, step),
+            2 => (0, 255, step),
+            _ => (lo, hi, step),
+        }
+    })
+}
+
+proptest! {
+    /// The sweep's components at every threshold are the BFS components
+    /// of that threshold's mask, in the same order and to the bit
+    /// (centroids are finite and non-negative, so `==` compares bits).
+    #[test]
+    fn sweep_equals_bfs_at_every_threshold(
+        gray in arb_gray(),
+        (min_t, max_t, step) in arb_thresholds(),
+    ) {
+        let levels: Vec<u8> = (min_t as u32..=max_t as u32)
+            .step_by(step as usize)
+            .map(|t| t as u8)
+            .collect();
+        let swept = label_thresholds(&gray.data, gray.width, gray.height, &levels);
+        prop_assert_eq!(swept.len(), levels.len());
+        for (&t, comps) in levels.iter().zip(&swept) {
+            let mask = gray.threshold(t);
+            prop_assert_eq!(
+                comps,
+                &bfs_components(&mask, gray.width, gray.height),
+                "threshold {} of {}x{}", t, gray.width, gray.height
+            );
+        }
+        let mask = gray.threshold(min_t);
+        prop_assert_eq!(
+            label_components(&mask, gray.width, gray.height),
+            bfs_components(&mask, gray.width, gray.height)
+        );
+    }
+
+    /// The detector equals the serial BFS fold for any threshold range,
+    /// step, area bound and repeatability.
+    #[test]
+    fn detect_equals_bfs_fold_on_random_images(
+        gray in arb_gray(),
+        (min_t, max_t, step) in arb_thresholds(),
+        min_area in 1usize..12,
+        min_repeatability in 1usize..4,
+    ) {
+        let params = BlobParams {
+            min_threshold: min_t,
+            max_threshold: max_t,
+            threshold_step: step,
+            min_area,
+            min_dist_between_blobs: 3.0,
+            min_repeatability,
+            ..Default::default()
+        };
+        prop_assert_eq!(BlobDetector::new(params).detect(&gray), reference_detect(&gray, &params));
+    }
+
+    /// Scan conversion equals the per-pixel reference on jittered
+    /// rectangles and annuli with shuffled triangle ids, for grids of any
+    /// shape over the hull, windows inside it, and frames partly or wholly
+    /// off it.
+    #[test]
+    fn scan_conversion_equals_per_pixel_reference(
+        (annulus, n, m, seed) in (any::<bool>(), 2usize..7, 6usize..20, 0u64..1000),
+        jitter in 0u8..3,
+        frame in (0u8..4, -1.0f64..1.0, -1.0f64..1.0, 0.1f64..1.6),
+        (width, height) in (1usize..48, 1usize..48),
+        shuffle in any::<u64>(),
+    ) {
+        let base = if annulus {
+            annulus_mesh(n, m, 0.4, 1.0)
+        } else {
+            rectangle_mesh(m, n, Aabb::from_points([Point2::new(0.0, 0.0), Point2::new(2.0, 1.0)]))
+        };
+        // No jitter puts pixel centres exactly on shared edges.
+        let amount = [0.0, 0.1, 0.3][jitter as usize];
+        let jittered = if amount > 0.0 { jitter_interior(&base, amount, seed) } else { base };
+        let mut tris = jittered.triangles().to_vec();
+        let mut state = shuffle | 1;
+        for i in (1..tris.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            tris.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let mesh = TriMesh::new(jittered.points().to_vec(), tris);
+        let data: Vec<f64> = mesh.points().iter().map(|p| (3.0 * p.x).sin() + p.y * p.y).collect();
+
+        let hull = mesh.aabb();
+        let (kind, dx, dy, scale) = frame;
+        let (w, h) = (hull.width() * scale, hull.height() * scale);
+        let corner = Point2::new(hull.min.x + dx * hull.width(), hull.min.y + dy * hull.height());
+        let bounds = match kind {
+            0 => hull,
+            1 => hull.inflate(0.3 * hull.width()),
+            _ => Aabb::from_points([corner, Point2::new(corner.x + w, corner.y + h)]),
+        };
+        let got = Raster::from_mesh(&mesh, &data, width, height, bounds);
+        let want = reference_raster(&mesh, &data, width, height, bounds);
+        prop_assert_eq!(bits(got.pixels()), bits(&want), "{}x{} over {:?}", width, height, bounds);
+    }
 }

@@ -137,6 +137,7 @@ impl Triangle {
     /// strictly outside the corresponding edge.
     ///
     /// Degenerate (zero-area) triangles return `None`.
+    #[inline]
     pub fn barycentric(&self, p: Point2) -> Option<[f64; 3]> {
         let denom = signed_area2(self.a, self.b, self.c);
         if denom.abs() < GEOM_EPS {
@@ -152,13 +153,16 @@ impl Triangle {
     /// epsilon margin so vertices sitting exactly on shared edges are
     /// accepted by at least one incident triangle.
     pub fn contains(&self, p: Point2) -> bool {
-        match self.barycentric(p) {
-            Some([wa, wb, wc]) => {
-                let eps = 1e-9;
-                wa >= -eps && wb >= -eps && wc >= -eps
-            }
-            None => false,
-        }
+        self.inside_weights(p).is_some()
+    }
+
+    /// The barycentric coordinates of `p` when [`Self::contains`] accepts
+    /// it, so a caller that interpolates need not compute them twice.
+    #[inline]
+    pub fn inside_weights(&self, p: Point2) -> Option<[f64; 3]> {
+        let eps = 1e-9;
+        self.barycentric(p)
+            .filter(|&[wa, wb, wc]| wa >= -eps && wb >= -eps && wc >= -eps)
     }
 
     /// Distance from `p` to the closest point of the triangle. Zero when
@@ -168,6 +172,12 @@ impl Triangle {
         if self.contains(p) {
             return 0.0;
         }
+        self.boundary_distance(p)
+    }
+
+    /// Distance from `p` to the triangle's edges: [`Self::distance_to`]
+    /// for a point the caller already knows `contains` rejects.
+    pub fn boundary_distance(&self, p: Point2) -> f64 {
         segment_distance(p, self.a, self.b)
             .min(segment_distance(p, self.b, self.c))
             .min(segment_distance(p, self.c, self.a))

@@ -111,6 +111,22 @@ proptest! {
         }
     }
 
+    /// The cell-local box query finds a nearby triangle box exactly when
+    /// a scan of every triangle does, in holes and beyond the hull too.
+    #[test]
+    fn boxes_near_matches_brute_force(
+        (mesh, points) in arb_locator_case(),
+        dist in 0.0f64..0.3,
+    ) {
+        let loc = GridLocator::build(&mesh);
+        for &p in &points {
+            let square = Aabb::from_points([p, p]).inflate(dist);
+            let brute = (0..mesh.num_triangles() as u32)
+                .any(|t| mesh.triangle(t).aabb().intersects(&square));
+            prop_assert_eq!(loc.boxes_near(&mesh, p, dist), brute, "p {:?} dist {}", p, dist);
+        }
+    }
+
     /// Annulus meshes keep Euler characteristic 0; disks keep 1, before
     /// and after jitter (jitter never changes topology).
     #[test]
