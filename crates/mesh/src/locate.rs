@@ -100,14 +100,22 @@ impl GridLocator {
             items: Vec::new(),
         };
 
-        // Count pass then fill pass (CSR construction), in ascending id,
-        // so every cell lists its triangles in ascending id.
+        // Each triangle's cell range once, then a count pass and a fill
+        // pass over them (CSR construction) in ascending id, so every cell
+        // lists its triangles in ascending id. The grid is at most 4096
+        // cells a side, so a cell coordinate fits a `u16`.
+        let ranges: Vec<[u16; 4]> = (0..ntri)
+            .map(|t| {
+                let ((cx0, cy0), (cx1, cy1)) =
+                    locator.cell_range(&mesh.triangle(t as TriId).aabb());
+                [cx0 as u16, cy0 as u16, cx1 as u16, cy1 as u16]
+            })
+            .collect();
         let ncells = nx * ny;
         let mut counts = vec![0u32; ncells + 1];
-        for t in 0..ntri {
-            let ((cx0, cy0), (cx1, cy1)) = locator.cell_range(&mesh.triangle(t as TriId).aabb());
-            for cy in cy0..=cy1 {
-                for cx in cx0..=cx1 {
+        for &[cx0, cy0, cx1, cy1] in &ranges {
+            for cy in cy0 as usize..=cy1 as usize {
+                for cx in cx0 as usize..=cx1 as usize {
                     counts[cy * nx + cx + 1] += 1;
                 }
             }
@@ -117,10 +125,9 @@ impl GridLocator {
         }
         let mut cursor = counts.clone();
         let mut items = vec![0 as TriId; counts[ncells] as usize];
-        for t in 0..ntri {
-            let ((cx0, cy0), (cx1, cy1)) = locator.cell_range(&mesh.triangle(t as TriId).aabb());
-            for cy in cy0..=cy1 {
-                for cx in cx0..=cx1 {
+        for (t, &[cx0, cy0, cx1, cy1]) in ranges.iter().enumerate() {
+            for cy in cy0 as usize..=cy1 as usize {
+                for cx in cx0 as usize..=cx1 as usize {
                     let cell = cy * nx + cx;
                     items[cursor[cell] as usize] = t as TriId;
                     cursor[cell] += 1;

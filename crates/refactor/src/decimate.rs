@@ -23,17 +23,28 @@
 //! away, so a popped edge is live exactly when both endpoints are alive;
 //! the driver checks that and needs no live-edge set (see [`crate::pqueue`]).
 //!
-//! A collapse allocates only when an append-only array outgrows its
-//! capacity (amortized, never per call). Vertex→triangle incidence is one
-//! append-only arena: the input vertices' lists are a CSR block filled in
-//! triangle order, and each new vertex appends its rewired triangles at
-//! the end. Lists are never edited; a dead triangle stays listed and is
-//! skipped through `alive_t`. The per-collapse neighbor and rewiring
-//! lists live in reusable scratch buffers.
+//! A collapse costs its one-ring and allocates only when an append-only
+//! array outgrows its capacity (amortized, never per call):
+//! * Vertex→triangle incidence is one append-only arena with `u32`
+//!   offsets: the input vertices' lists are a CSR block filled in
+//!   triangle order, and each new vertex appends its rewired triangles at
+//!   the end. Lists are never edited; a dead triangle stays listed and is
+//!   skipped through `alive_t`.
+//! * One pass over each endpoint's list gathers its alive triangles with
+//!   their corners; the pass over `u` also finds the edge's own triangles.
+//! * No one-ring is ever sorted. Neighbor sets are epoch stamps in a
+//!   per-vertex `mark` array: the link condition stamps `u`'s neighbors
+//!   and counts the distinct ones `v` shares, and the commit pushes the
+//!   new vertex's edges straight from the rewired triangles, each once.
+//!   The array is cleared only when the epoch counter would wrap.
+//!
+//! The per-collapse rings and rewired triangles live in reusable scratch
+//! buffers.
 
 use crate::pqueue::{edge, Edge, EdgeQueue};
 use canopus_mesh::geometry::{signed_area2, Point2, GEOM_EPS};
 use canopus_mesh::TriMesh;
+use std::ops::Range;
 
 /// Outcome of one decimation step (level `l` → level `l+1`).
 #[derive(Debug, Clone)]
@@ -48,6 +59,12 @@ pub struct DecimationResult {
     pub collapses: usize,
     /// Number of candidate edges rejected by the guards.
     pub rejected: usize,
+    /// Edges popped from the priority queue: collapses, rejections and
+    /// stale pops together.
+    pub queue_pops: usize,
+    /// Popped edges skipped because an endpoint had already been
+    /// collapsed away (the edge died with it).
+    pub stale_pops: usize,
     /// For each output vertex: `Some(original id)` if it is a surviving
     /// input vertex, `None` if it was created by a collapse. Partition-
     /// parallel decimation uses this to stitch shared vertices.
@@ -65,17 +82,62 @@ enum Order {
     Random(u64),
 }
 
+/// An alive triangle of an endpoint's ring: id and corners.
+type RingTri = (u32, [u32; 3]);
+
 /// Per-collapse buffers, kept across collapses so none allocates.
 #[derive(Default)]
 struct Scratch {
-    /// Sorted one-ring of `u`; after a commit, the one-ring of `k`.
-    nu: Vec<u32>,
-    /// Sorted one-ring of `v`.
-    nv: Vec<u32>,
+    /// Alive triangles incident to `u`, in incidence order.
+    ring_u: Vec<RingTri>,
+    /// Alive triangles incident to `v`, in incidence order.
+    ring_v: Vec<RingTri>,
     /// Rewired triangles: id and new corners.
-    new_tris: Vec<(u32, [u32; 3])>,
-    /// Sorted corners of `new_tris`, for the duplicate check.
-    seen: Vec<[u32; 3]>,
+    new_tris: Vec<RingTri>,
+    /// The two corners of each of `new_tris` other than the new vertex,
+    /// packed low id first, for the duplicate check.
+    seen: Vec<u64>,
+}
+
+/// Epoch-stamped vertex sets: `x` is in the current set exactly when
+/// `mark[x] == epoch`. Starting a new set costs nothing but a bump of the
+/// epoch; 0 is never a live epoch, so it marks "in no set".
+#[derive(Default)]
+struct Stamps {
+    mark: Vec<u32>,
+    epoch: u32,
+}
+
+impl Stamps {
+    /// Start a new, empty set. The marks are cleared only when the epoch
+    /// counter would wrap.
+    fn clear(&mut self) {
+        if self.epoch == u32::MAX {
+            self.mark.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// Add `x`; whether it was not in the set yet.
+    #[inline]
+    fn insert(&mut self, x: u32) -> bool {
+        let m = &mut self.mark[x as usize];
+        let added = *m != self.epoch;
+        *m = self.epoch;
+        added
+    }
+
+    /// Remove `x`; whether it was in the set.
+    #[inline]
+    fn remove(&mut self, x: u32) -> bool {
+        let m = &mut self.mark[x as usize];
+        let present = *m == self.epoch;
+        if present {
+            *m = 0;
+        }
+        present
+    }
 }
 
 struct Working<'a> {
@@ -87,7 +149,9 @@ struct Working<'a> {
     /// Triangles incident to vertex `x`:
     /// `incidence[inc_start[x]..inc_start[x + 1]]`.
     incidence: Vec<u32>,
-    inc_start: Vec<usize>,
+    inc_start: Vec<u32>,
+    /// One stamp per vertex, new vertices included.
+    stamps: Stamps,
     alive_count: usize,
     queue: EdgeQueue,
     /// Data-contrast weight in the edge priority (0 = pure shortest-edge,
@@ -110,7 +174,11 @@ impl<'a> Working<'a> {
         );
         let nv = mesh.num_vertices();
         let tris: Vec<[u32; 3]> = mesh.triangles().to_vec();
-        let mut inc_start = vec![0usize; nv + 1];
+        assert!(
+            3 * tris.len() <= u32::MAX as usize,
+            "incidence arena exceeds u32 offsets"
+        );
+        let mut inc_start = vec![0u32; nv + 1];
         for t in &tris {
             for &v in t {
                 inc_start[v as usize + 1] += 1;
@@ -120,10 +188,10 @@ impl<'a> Working<'a> {
             inc_start[v + 1] += inc_start[v];
         }
         let mut fill = inc_start[..nv].to_vec();
-        let mut incidence = vec![0u32; inc_start[nv]];
+        let mut incidence = vec![0u32; inc_start[nv] as usize];
         for (ti, t) in tris.iter().enumerate() {
             for &v in t {
-                incidence[fill[v as usize]] = ti as u32;
+                incidence[fill[v as usize] as usize] = ti as u32;
                 fill[v as usize] += 1;
             }
         }
@@ -137,6 +205,10 @@ impl<'a> Working<'a> {
             tris,
             incidence,
             inc_start,
+            stamps: Stamps {
+                mark: vec![0; nv],
+                epoch: 0,
+            },
             alive_count: nv,
             queue: EdgeQueue::new(),
             data_weight: match order {
@@ -147,18 +219,22 @@ impl<'a> Working<'a> {
             frozen,
             scratch: Scratch::default(),
         };
-        // Each edge once, from its lower endpoint's one-ring. The heap's
-        // pop order depends only on the keys, not on this listing order.
+        // Each edge once, from its lower endpoint's triangles, deduplicated
+        // by stamp. The heap's pop order depends only on the keys, not on
+        // this listing order.
         let mut entries: Vec<(Edge, f64)> = Vec::with_capacity(w.incidence.len() / 2 + nv);
-        let mut ring = Vec::new();
         for u in 0..nv as u32 {
-            w.neighbors(u, &mut ring);
-            for &v in ring.iter().filter(|&&v| v > u) {
-                let pr = match order {
-                    Order::Random(seed) => hash_priority(u, v, seed),
-                    Order::Shortest | Order::DataAware(_) => w.priority(u, v),
-                };
-                entries.push(((u, v), pr));
+            w.stamps.clear();
+            for &t in &w.incidence[w.incident(u)] {
+                for &v in &w.tris[t as usize] {
+                    if v > u && w.stamps.insert(v) {
+                        let pr = match order {
+                            Order::Random(seed) => hash_priority(u, v, seed),
+                            Order::Shortest | Order::DataAware(_) => w.priority(u, v),
+                        };
+                        entries.push(((u, v), pr));
+                    }
+                }
             }
         }
         w.queue = EdgeQueue::from_entries(entries);
@@ -177,45 +253,10 @@ impl<'a> Working<'a> {
         }
     }
 
-    /// Every triangle ever incident to `v`, dead ones included.
-    fn incident(&self, v: u32) -> &[u32] {
-        &self.incidence[self.inc_start[v as usize]..self.inc_start[v as usize + 1]]
-    }
-
-    /// Sorted unique one-ring neighbors of `v` (alive triangles only),
-    /// written into `out`.
-    fn neighbors(&self, v: u32, out: &mut Vec<u32>) {
-        out.clear();
-        for &t in self.incident(v) {
-            if !self.alive_t[t as usize] {
-                continue;
-            }
-            for &w in &self.tris[t as usize] {
-                if w != v {
-                    out.push(w);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// Alive triangles containing both `u` and `v`: one for a boundary
-    /// edge, two for an interior one. `None` for any other count, which
-    /// no collapsible edge of a manifold mesh has.
-    fn edge_triangles(&self, u: u32, v: u32) -> Option<([u32; 2], usize)> {
-        let mut found = [0u32; 2];
-        let mut n = 0;
-        for &t in self.incident(u) {
-            if self.alive_t[t as usize] && self.tris[t as usize].contains(&v) {
-                if n == 2 {
-                    return None;
-                }
-                found[n] = t;
-                n += 1;
-            }
-        }
-        (n > 0).then_some((found, n))
+    /// Where in `incidence` every triangle ever incident to `v` is
+    /// listed, dead ones included.
+    fn incident(&self, v: u32) -> Range<usize> {
+        self.inc_start[v as usize] as usize..self.inc_start[v as usize + 1] as usize
     }
 
     /// Attempt to collapse edge `(u, v)`. Returns whether it happened.
@@ -232,16 +273,57 @@ impl<'a> Working<'a> {
         if is_frozen(u) || is_frozen(v) {
             return false;
         }
-        let Some((uv_buf, uv_len)) = self.edge_triangles(u, v) else {
+
+        // Gather u's alive triangles, stamp its one-ring, and find the
+        // edge's own triangles: one for a boundary edge, two for an
+        // interior one. No collapsible edge of a manifold mesh has any
+        // other count.
+        self.stamps.clear();
+        s.ring_u.clear();
+        let mut uv_buf = [0u32; 2];
+        let mut uv_len = 0;
+        for &t in &self.incidence[self.incident(u)] {
+            if !self.alive_t[t as usize] {
+                continue;
+            }
+            let corners = self.tris[t as usize];
+            if corners.contains(&v) {
+                if uv_len == 2 {
+                    return false;
+                }
+                uv_buf[uv_len] = t;
+                uv_len += 1;
+            }
+            for w in corners {
+                if w != u {
+                    self.stamps.insert(w);
+                }
+            }
+            s.ring_u.push((t, corners));
+        }
+        if uv_len == 0 {
             return false;
-        };
+        }
         let tris_uv = &uv_buf[..uv_len];
 
         // Link condition: common one-ring neighbors must be exactly the
-        // opposite vertices of the edge's triangles.
-        self.neighbors(u, &mut s.nu);
-        self.neighbors(v, &mut s.nv);
-        if sorted_common_count(&s.nu, &s.nv) != tris_uv.len() {
+        // opposite vertices of the edge's triangles. Each common neighbor
+        // is unstamped when first met, so it counts once.
+        s.ring_v.clear();
+        let mut common = 0;
+        for &t in &self.incidence[self.incident(v)] {
+            if !self.alive_t[t as usize] {
+                continue;
+            }
+            let corners = self.tris[t as usize];
+            for w in corners {
+                if w != v && self.stamps.remove(w) {
+                    common += 1;
+                }
+            }
+            s.ring_v.push((t, corners));
+        }
+        if common != uv_len {
             return false;
         }
 
@@ -252,35 +334,38 @@ impl<'a> Working<'a> {
         let k_id = self.points.len() as u32;
         s.new_tris.clear();
         s.seen.clear();
-        for src in [u, v] {
-            for &t in self.incident(src) {
-                if !self.alive_t[t as usize] || tris_uv.contains(&t) {
-                    continue;
-                }
-                let mut tri = self.tris[t as usize];
-                for slot in &mut tri {
-                    if *slot == u || *slot == v {
-                        *slot = k_id;
-                    }
-                }
-                let pos = |id: u32| -> Point2 {
-                    if id == k_id {
-                        k_pos
-                    } else {
-                        self.points[id as usize]
-                    }
-                };
-                if signed_area2(pos(tri[0]), pos(tri[1]), pos(tri[2])) <= GEOM_EPS {
-                    return false; // would fold or degenerate
-                }
-                let mut sorted = tri;
-                sorted.sort_unstable();
-                if s.seen.contains(&sorted) {
-                    return false; // would create a duplicate triangle
-                }
-                s.seen.push(sorted);
-                s.new_tris.push((t, tri));
+        for &(t, mut tri) in s.ring_u.iter().chain(&s.ring_v) {
+            if tris_uv.contains(&t) {
+                continue;
             }
+            for slot in &mut tri {
+                if *slot == u || *slot == v {
+                    *slot = k_id;
+                }
+            }
+            let pos = |id: u32| -> Point2 {
+                if id == k_id {
+                    k_pos
+                } else {
+                    self.points[id as usize]
+                }
+            };
+            if signed_area2(pos(tri[0]), pos(tri[1]), pos(tri[2])) <= GEOM_EPS {
+                return false; // would fold or degenerate
+            }
+            // Every rewired triangle has `k` as exactly one corner, so two
+            // are equal exactly when their other two corners are.
+            let [a, b] = match tri.iter().position(|&x| x == k_id) {
+                Some(0) => [tri[1], tri[2]],
+                Some(1) => [tri[0], tri[2]],
+                _ => [tri[0], tri[1]],
+            };
+            let other = (a.min(b) as u64) << 32 | a.max(b) as u64;
+            if s.seen.contains(&other) {
+                return false; // would create a duplicate triangle
+            }
+            s.seen.push(other);
+            s.new_tris.push((t, tri));
         }
 
         // --- commit ---
@@ -288,26 +373,65 @@ impl<'a> Working<'a> {
         self.points.push(k_pos);
         self.data.push(k_data);
         self.alive_v.push(true);
+        self.stamps.mark.push(0);
         for &t in tris_uv {
             self.alive_t[t as usize] = false;
         }
+        // Edges at u and v died with them; the edges at k are new, one per
+        // distinct corner of the rewired triangles.
+        self.stamps.clear();
         for &(t, tri) in &s.new_tris {
             self.tris[t as usize] = tri;
             self.incidence.push(t);
+            for x in tri {
+                if x != k_id && self.stamps.insert(x) {
+                    let pr = self.priority(k_id, x);
+                    self.queue.push(edge(k_id, x), pr);
+                }
+            }
         }
-        self.inc_start.push(self.incidence.len());
+        let end = u32::try_from(self.incidence.len()).expect("incidence arena exceeds u32 offsets");
+        self.inc_start.push(end);
         self.alive_v[u as usize] = false;
         self.alive_v[v as usize] = false;
         // Net vertex change: -2 dead +1 new.
         self.alive_count -= 1;
-
-        // Edges at u and v died with them; the edges at k are new.
-        self.neighbors(k_id, &mut s.nu);
-        for &x in &s.nu {
-            let pr = self.priority(k_id, x);
-            self.queue.push(edge(k_id, x), pr);
-        }
         true
+    }
+
+    /// Pop the best edge, skip it if an endpoint has died (the edge died
+    /// with it), else try to collapse it, until at most `|V| / ratio`
+    /// vertices are alive or the queue drains.
+    fn collapse_to(mut self, ratio: f64) -> DecimationResult {
+        let n0 = self.alive_count;
+        let target = ((n0 as f64 / ratio).ceil() as usize).max(3);
+        let (mut collapses, mut rejected) = (0, 0);
+        let (mut queue_pops, mut stale_pops) = (0, 0);
+        while self.alive_count > target {
+            let Some(((u, v), _)) = self.queue.pop() else {
+                break; // no collapsible edges left
+            };
+            queue_pops += 1;
+            if !self.alive_v[u as usize] || !self.alive_v[v as usize] {
+                stale_pops += 1;
+            } else if self.try_collapse(u, v) {
+                collapses += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+
+        let (mesh, data, original_index) = self.finish(n0);
+        DecimationResult {
+            achieved_ratio: n0 as f64 / mesh.num_vertices().max(1) as f64,
+            mesh,
+            data,
+            collapses,
+            rejected,
+            queue_pops,
+            stale_pops,
+            original_index,
+        }
     }
 
     /// Compact alive vertices/triangles into a fresh `TriMesh` + data.
@@ -340,26 +464,7 @@ impl<'a> Working<'a> {
     }
 }
 
-/// Number of values two sorted, duplicate-free slices share.
-fn sorted_common_count(a: &[u32], b: &[u32]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
-
-/// The one decimation driver: pop the best edge, skip it if an endpoint
-/// has died (the edge died with it), else try to collapse it, until the
-/// vertex target is met or the queue drains.
+/// The one decimation driver behind every public entry point.
 fn run(
     mesh: &TriMesh,
     data: &[f64],
@@ -368,35 +473,7 @@ fn run(
     frozen: &[bool],
 ) -> DecimationResult {
     assert!(ratio >= 1.0, "decimation ratio must be >= 1, got {ratio}");
-    let n0 = mesh.num_vertices();
-    let target = ((n0 as f64 / ratio).ceil() as usize).max(3);
-
-    let mut w = Working::new(mesh, data, order, frozen);
-    let mut collapses = 0usize;
-    let mut rejected = 0usize;
-    while w.alive_count > target {
-        let Some(((u, v), _)) = w.queue.pop() else {
-            break; // no collapsible edges left
-        };
-        if !w.alive_v[u as usize] || !w.alive_v[v as usize] {
-            continue;
-        }
-        if w.try_collapse(u, v) {
-            collapses += 1;
-        } else {
-            rejected += 1;
-        }
-    }
-
-    let (out_mesh, out_data, original_index) = w.finish(n0);
-    DecimationResult {
-        achieved_ratio: n0 as f64 / out_mesh.num_vertices().max(1) as f64,
-        mesh: out_mesh,
-        data: out_data,
-        collapses,
-        rejected,
-        original_index,
-    }
+    Working::new(mesh, data, order, frozen).collapse_to(ratio)
 }
 
 /// Decimate `mesh`/`data` by `ratio` (paper default 2): collapse shortest
@@ -670,6 +747,27 @@ mod tests {
         let b = decimate(&m, &data, 2.0);
         assert_eq!(a.mesh, b.mesh);
         assert_eq!(a.data, b.data);
+    }
+
+    #[test]
+    fn stamp_epoch_wrap_changes_nothing() {
+        let m = grid(16);
+        let data: Vec<f64> = m.points().iter().map(|p| (5.0 * p.x).sin() + p.y).collect();
+        let fresh = decimate(&m, &data, 2.0);
+        // Every collapse takes at least two epochs, so the counter wraps
+        // within the first collapses, with the marks of the input-edge
+        // listing still in the array.
+        let mut w = Working::new(&m, &data, Order::Shortest, &[]);
+        w.stamps.epoch = u32::MAX - 2;
+        let wrapped = w.collapse_to(2.0);
+        assert!(fresh.collapses > 2);
+        assert_eq!(
+            (wrapped.collapses, wrapped.rejected, wrapped.queue_pops),
+            (fresh.collapses, fresh.rejected, fresh.queue_pops)
+        );
+        assert_eq!(wrapped.mesh, fresh.mesh);
+        assert_eq!(wrapped.data, fresh.data);
+        assert_eq!(wrapped.original_index, fresh.original_index);
     }
 
     #[test]

@@ -104,10 +104,14 @@ fn decimate_partitioned(
     let mut shared_map: HashMap<VertexId, u32> = HashMap::new();
     let mut collapses = 0usize;
     let mut rejected = 0usize;
+    let mut queue_pops = 0usize;
+    let mut stale_pops = 0usize;
 
     for (part, r) in &results {
         collapses += r.collapses;
         rejected += r.rejected;
+        queue_pops += r.queue_pops;
+        stale_pops += r.stale_pops;
         let mut local_to_global = vec![u32::MAX; r.mesh.num_vertices()];
         for (local, &orig) in r.original_index.iter().enumerate() {
             let parent = orig.map(|o| part.to_parent[o as usize]);
@@ -145,6 +149,8 @@ fn decimate_partitioned(
         data: out_data,
         collapses,
         rejected,
+        queue_pops,
+        stale_pops,
         original_index,
     }
 }

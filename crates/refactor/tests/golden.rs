@@ -195,3 +195,22 @@ proptest! {
         }
     }
 }
+
+/// `(queue_pops, stale_pops)` of the seed-7 L0 halving of a dataset.
+fn l0_queue_work(ds: &Dataset) -> (usize, usize) {
+    let r = decimate(&ds.mesh, &ds.data, 2.0);
+    assert_eq!(r.queue_pops, r.collapses + r.rejected + r.stale_pops);
+    (r.queue_pops, r.stale_pops)
+}
+
+/// The queue's work is a deterministic count: every pop is a collapse, a
+/// rejection or a stale entry, and the totals are pinned per dataset.
+#[test]
+fn l0_queue_pops_match_golden() {
+    let got = [
+        l0_queue_work(&xgc1_dataset(7)),
+        l0_queue_work(&genasis_dataset(7)),
+        l0_queue_work(&cfd_dataset(7)),
+    ];
+    assert_eq!(got, [(26_489, 15_860), (81_203, 48_434), (5_861, 2_664)]);
+}

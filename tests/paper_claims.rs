@@ -86,21 +86,35 @@ fn claim_blobs_expand_under_decimation() {
 /// Claim (Fig. 9a): end-to-end exploratory analysis accelerates as
 /// accuracy is traded for speed; the paper reports up to an order of
 /// magnitude. At reduced scale we require a clear monotone win in the
-/// pipeline I/O+decompress+restore cost.
+/// pipeline I/O+decompress+restore cost. I/O is simulated and the same on
+/// every run; decompress and restore are wall clock, so each ratio row
+/// takes its best of three runs, which keeps scheduler noise on a
+/// sub-millisecond phase from reordering the rows.
 #[test]
 fn claim_analysis_accelerates_with_reduced_accuracy() {
     let ds = xgc1_dataset_sized(16, 80, 42);
-    let rows = endtoend::end_to_end(&ds, 4, false);
-    let pipeline = |r: &endtoend::EndToEndRow| r.io_secs + r.decompress_secs + r.restore_secs;
-    let baseline = pipeline(&rows[0]);
-    let deepest = pipeline(rows.last().expect("rows"));
+    let runs: Vec<_> = (0..3)
+        .map(|_| endtoend::end_to_end(&ds, 4, false))
+        .collect();
+    let pipeline: Vec<f64> = (0..runs[0].len())
+        .map(|i| {
+            let best = |phase: fn(&endtoend::EndToEndRow) -> f64| {
+                runs.iter()
+                    .map(|rows| phase(&rows[i]))
+                    .fold(f64::INFINITY, f64::min)
+            };
+            runs[0][i].io_secs + best(|r| r.decompress_secs) + best(|r| r.restore_secs)
+        })
+        .collect();
+    let baseline = pipeline[0];
+    let deepest = *pipeline.last().expect("rows");
     assert!(
         deepest < baseline / 4.0,
         "deep base should cut pipeline cost hard: {deepest} vs {baseline}"
     );
     // Monotone through the ratios.
-    for pair in rows[1..].windows(2) {
-        assert!(pipeline(&pair[1]) <= pipeline(&pair[0]) * 1.05);
+    for pair in pipeline[1..].windows(2) {
+        assert!(pair[1] <= pair[0] * 1.05);
     }
 }
 
